@@ -25,7 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -179,16 +178,11 @@ void print_phase(const char* name, const PhaseResult& result) {
                   : ""));
 }
 
-const char* arg_value(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = quick_mode(argc, argv);
+  const Flags flags(argc, argv, {"--quick"}, {"--out"});
+  const bool quick = flags.has("--quick");
   const std::size_t tenants = quick ? 16 : 64;
   const std::size_t jobs_per_tenant = quick ? 100 : 400;
 
@@ -209,7 +203,7 @@ int main(int argc, char** argv) {
   report["clean"] = clean.to_json();
   report["torn"] = torn.to_json();
 
-  if (const char* out = arg_value(argc, argv, "--out")) {
+  if (const char* out = flags.value("--out")) {
     std::ofstream file(out);
     file << report.dump(2) << "\n";
     print_note("wrote " + std::string(out));

@@ -41,7 +41,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -288,20 +287,17 @@ bool write_profile_artifact(const char* path) {
   return static_cast<bool>(file);
 }
 
-const char* arg_value(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = quick_mode(argc, argv);
-  bool replicate = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--replicate") == 0) replicate = true;
-  }
+  const Flags flags(argc, argv, {"--quick", "--replicate"},
+                    {"--out", "--profile-out", "--check", "--tolerance",
+                     "--trace-tolerance"});
+  const bool quick = flags.has("--quick");
+  const bool replicate = flags.has("--replicate");
+  // Parsed up front: a malformed tolerance fails before minutes of runs.
+  const double tolerance = flags.fraction("--tolerance", 0.25);
+  const double trace_tolerance = flags.fraction("--trace-tolerance", 0.05);
   const std::size_t tenants = 64;
   const std::size_t jobs_per_tenant = quick ? 150 : 600;
   // Even quick mode earns 3 reps: the tracing gate compares two configs
@@ -364,13 +360,13 @@ int main(int argc, char** argv) {
   report["trace_overhead"] = trace_overhead;
   report["replicate"] = replicate;
 
-  if (const char* out = arg_value(argc, argv, "--out")) {
+  if (const char* out = flags.value("--out")) {
     std::ofstream file(out);
     file << report.dump(2) << "\n";
     print_note("wrote " + std::string(out));
   }
 
-  if (const char* profile_out = arg_value(argc, argv, "--profile-out")) {
+  if (const char* profile_out = flags.value("--profile-out")) {
     if (!write_profile_artifact(profile_out)) {
       std::fprintf(stderr, "cannot write collapsed-stack profile '%s'\n",
                    profile_out);
@@ -379,11 +375,7 @@ int main(int argc, char** argv) {
     print_note("wrote " + std::string(profile_out));
   }
 
-  if (const char* baseline_path = arg_value(argc, argv, "--check")) {
-    double tolerance = 0.25;
-    if (const char* tol = arg_value(argc, argv, "--tolerance")) {
-      tolerance = std::strtod(tol, nullptr);
-    }
+  if (const char* baseline_path = flags.value("--check")) {
     std::ifstream file(baseline_path);
     if (!file) {
       std::fprintf(stderr, "cannot read baseline '%s'\n", baseline_path);
@@ -414,10 +406,6 @@ int main(int argc, char** argv) {
     // The tracing gate is absolute, not baseline-relative: tracing-on and
     // tracing-off ran back to back on THIS machine, so the ratio is
     // already hardware-normalized. 1.0 = tracing is free.
-    double trace_tolerance = 0.05;
-    if (const char* tol = arg_value(argc, argv, "--trace-tolerance")) {
-      trace_tolerance = std::strtod(tol, nullptr);
-    }
     const double trace_floor = 1.0 - trace_tolerance;
     print_note("tracing gate: ratio " + fmt("%.3f", trace_overhead) +
                " vs floor " + fmt("%.3f", trace_floor));

@@ -108,6 +108,9 @@ class Json {
 
   /// Serializes to compact JSON; `indent > 0` pretty-prints.
   std::string dump(int indent = 0) const;
+  /// Appends the compact serialization to `out` (dump() without the
+  /// intermediate string, for writers that stream many values).
+  void dump_to(std::string& out) const { dump_to(out, 0, 0); }
 
   /// Parses a JSON document. Errors carry position information.
   static Result<Json> parse(std::string_view text);

@@ -76,7 +76,8 @@ Dispatcher::Dispatcher(std::shared_ptr<broker::ResourceBroker> broker,
                        accounting::AccountingManager* accounting,
                        telemetry::TraceStore* traces,
                        telemetry::EventLog* events)
-    : broker_(std::move(broker)),
+    : instance_(next_instance_.fetch_add(1, std::memory_order_relaxed)),
+      broker_(std::move(broker)),
       clock_(clock),
       metrics_(metrics),
       store_(store),
@@ -136,28 +137,47 @@ void Dispatcher::install_priority_hook() {
     Shard* shard = shard_ptr.get();
     // Runs under shard->mutex (every core call site holds it), so the
     // shard's records and the lambda's memo are safe; the accounting side
-    // locks internally and never calls back. The memo is seeded with the
-    // whole fair-share table in ONE population traversal per ordering
-    // pass (the core evaluates a whole pass at a single `now`), so a
-    // pass costs O(users) accounting work instead of O(users) per
-    // pending job.
+    // locks internally and never calls back. The memo is the fair-share
+    // table of the pass's `now` (the core evaluates a whole pass at a
+    // single `now`), so a pass costs O(users) accounting work instead of
+    // O(users) per pending job — and, through fair_share_table, once per
+    // pass rather than once per shard.
     shard->core.set_priority_hook(
-        [this, shard, memo_now = common::TimeNs{-1},
-         memo = std::map<std::string, double>{}](
+        [this, shard, memo = std::shared_ptr<const FairShareTable>{},
+         extra = std::map<std::string, double>{}](
             std::uint64_t job_id, common::TimeNs now) mutable {
-          if (now != memo_now) {
-            memo = accounting_->priorities(now);
-            memo_now = now;
+          if (memo == nullptr || memo->now != now) {
+            memo = fair_share_table(now);
+            extra.clear();
           }
-          const std::string& user = shard->records.at(job_id).job.user;
-          auto it = memo.find(user);
-          if (it == memo.end()) {
-            // A user outside the known population (no usage/grant yet).
-            it = memo.emplace(user, accounting_->priority(user, now)).first;
+          const std::string& user = shard->active.at(job_id)->job.user;
+          if (const auto it = memo->factors.find(user);
+              it != memo->factors.end()) {
+            return it->second;
+          }
+          // A user outside the known population (no usage/grant yet).
+          auto it = extra.find(user);
+          if (it == extra.end()) {
+            it = extra.emplace(user, accounting_->priority(user, now)).first;
           }
           return it->second;
         });
   }
+}
+
+std::shared_ptr<const Dispatcher::FairShareTable>
+Dispatcher::fair_share_table(common::TimeNs now) const {
+  // A pass over several shards (tournament, ETA, queue listing) runs on
+  // one thread at one `now`, so the last table per thread is the pass's:
+  // its shards share one population traversal, and a pass that meets no
+  // hook-ranked entry computes none. Keyed by dispatcher instance, so two
+  // dispatchers in one process never share a table.
+  thread_local std::shared_ptr<const FairShareTable> last;
+  if (last == nullptr || last->dispatcher != instance_ || last->now != now) {
+    last = std::make_shared<const FairShareTable>(
+        FairShareTable{instance_, now, accounting_->priorities(now)});
+  }
+  return last;
 }
 
 void Dispatcher::start_lanes() {
@@ -379,7 +399,6 @@ Result<std::uint64_t> Dispatcher::submit(
     record.policy_hint = options.policy;
     record.job.trace_id = options.trace_id;
     record.shard_index = shard_index;
-    record.samples = Samples(payload->num_qubits());
     record.payload = std::move(payload);
     submit_time = record.job.submit_time;
     // The job id doubles as the queue seq: one global allocator keeps
@@ -390,7 +409,7 @@ Result<std::uint64_t> Dispatcher::submit(
     ++shard.user_pending[user];
     ++shard.user_slo[user].submitted;
     const auto inserted = shard.records.emplace(id, std::move(record));
-    shard.active.insert(id);
+    shard.active.emplace(id, &inserted.first->second);
     index_insert(id, shard_index);
     if (store_ != nullptr) {
       // Deferred payload serialization keeps the submit path O(metadata).
@@ -485,7 +504,10 @@ Result<Samples> Dispatcher::result(std::uint64_t job_id) const {
   }
   const Record& record = it->second;
   switch (record.job.state) {
-    case DaemonJobState::kCompleted: return record.samples;
+    case DaemonJobState::kCompleted:
+      if (record.samples != nullptr) return *record.samples;
+      return Samples(record.payload != nullptr ? record.payload->num_qubits()
+                                               : 0);
     case DaemonJobState::kFailed:
       return common::err::internal(record.job.error);
     case DaemonJobState::kCancelled:
@@ -661,12 +683,13 @@ std::vector<DaemonJob> Dispatcher::jobs_snapshot() const {
   return out;
 }
 
-std::vector<std::uint64_t> Dispatcher::queue_order() const {
+void Dispatcher::merge_heads_locked(
+    common::TimeNs now,
+    const std::function<void(const Shard&, const PriorityQueueCore::Head&)>&
+        visit) const {
   // One `now` for every shard so hook priorities and aging are evaluated
   // consistently, then a k-way merge with the core's own comparator:
   // exactly the order the dispatch tournament would drain.
-  const common::TimeNs now = clock_->now();
-  const auto locks = lock_all_shards();
   std::vector<std::vector<PriorityQueueCore::Head>> heads;
   heads.reserve(shards_.size());
   bool shortest_first = false;
@@ -675,7 +698,6 @@ std::vector<std::uint64_t> Dispatcher::queue_order() const {
     heads.push_back(shard->core.snapshot_heads(now));
   }
   std::vector<std::size_t> cursor(heads.size(), 0);
-  std::vector<std::uint64_t> out;
   while (true) {
     const PriorityQueueCore::Head* best = nullptr;
     std::size_t best_list = 0;
@@ -689,9 +711,35 @@ std::vector<std::uint64_t> Dispatcher::queue_order() const {
       }
     }
     if (best == nullptr) break;
-    out.push_back(best->job_id);
+    visit(*shards_[best_list], *best);
     ++cursor[best_list];
   }
+}
+
+Dispatcher::PendingView Dispatcher::pending_view(
+    const Record& record, const PriorityQueueCore::Head& head) {
+  PendingView view;
+  view.job_id = head.job_id;
+  view.user = record.job.user;
+  view.cls = head.cls;
+  view.rank = head.rank;
+  view.has_hook = head.has_hook;
+  view.hook = head.hook;
+  view.remaining_shots = head.remaining_shots;
+  view.resource = record.job.resource;
+  view.pinned = record.pinned;
+  view.submit_time = record.job.submit_time;
+  return view;
+}
+
+std::vector<std::uint64_t> Dispatcher::queue_order() const {
+  const common::TimeNs now = clock_->now();
+  const auto locks = lock_all_shards();
+  std::vector<std::uint64_t> out;
+  merge_heads_locked(
+      now, [&](const Shard&, const PriorityQueueCore::Head& head) {
+        out.push_back(head.job_id);
+      });
   return out;
 }
 
@@ -699,46 +747,39 @@ Dispatcher::PendingSnapshot Dispatcher::pending_snapshot() const {
   PendingSnapshot out;
   out.now = clock_->now();
   const auto locks = lock_all_shards();
-  std::vector<std::vector<PriorityQueueCore::Head>> heads;
-  heads.reserve(shards_.size());
-  bool shortest_first = false;
-  for (const auto& shard : shards_) {
-    shortest_first = shard->core.policy().shortest_first_within_class;
-    heads.push_back(shard->core.snapshot_heads(out.now));
-  }
-  std::vector<std::size_t> cursor(heads.size(), 0);
-  while (true) {
-    const PriorityQueueCore::Head* best = nullptr;
-    std::size_t best_list = 0;
-    for (std::size_t i = 0; i < heads.size(); ++i) {
-      if (cursor[i] >= heads[i].size()) continue;
-      const PriorityQueueCore::Head& head = heads[i][cursor[i]];
-      if (best == nullptr ||
-          PriorityQueueCore::head_before(head, *best, shortest_first)) {
-        best = &head;
-        best_list = i;
-      }
-    }
-    if (best == nullptr) break;
-    const auto it = shards_[best_list]->records.find(best->job_id);
-    if (it != shards_[best_list]->records.end()) {
-      const Record& record = it->second;
-      PendingView view;
-      view.job_id = best->job_id;
-      view.user = record.job.user;
-      view.cls = best->cls;
-      view.rank = best->rank;
-      view.has_hook = best->has_hook;
-      view.hook = best->hook;
-      view.remaining_shots = best->remaining_shots;
-      view.resource = record.job.resource;
-      view.pinned = record.pinned;
-      view.submit_time = record.job.submit_time;
-      out.entries.push_back(std::move(view));
-    }
-    ++cursor[best_list];
-  }
+  merge_heads_locked(
+      out.now, [&](const Shard& shard, const PriorityQueueCore::Head& head) {
+        const auto it = shard.records.find(head.job_id);
+        if (it != shard.records.end()) {
+          out.entries.push_back(pending_view(it->second, head));
+        }
+      });
   return out;
+}
+
+std::optional<Dispatcher::PendingView> Dispatcher::for_each_ahead(
+    std::uint64_t job_id, common::TimeNs now, const AheadFn& visit) const {
+  Shard* home = find_shard(job_id);
+  if (home == nullptr) return std::nullopt;
+  PriorityQueueCore::Head pivot;
+  PendingView me;
+  {
+    std::scoped_lock lock(home->mutex);
+    const auto head = home->core.head_of(job_id, now);
+    if (!head.has_value()) return std::nullopt;
+    pivot = *head;
+    me = pending_view(home->records.at(job_id), pivot);
+  }
+  // Each shard is scanned once under its own lock; nothing is sorted or
+  // copied, so a deep queue costs one pass, not a merge of sorted copies.
+  for (const auto& shard : shards_) {
+    std::scoped_lock lock(shard->mutex);
+    shard->core.for_each_before(
+        pivot, now, [&](const PriorityQueueCore::Head& head) {
+          visit(me, head, shard->active.at(head.job_id)->job.user);
+        });
+  }
+  return me;
 }
 
 std::map<std::string, std::size_t> Dispatcher::user_pending_counts() const {
@@ -774,10 +815,8 @@ Dispatcher::queue_wait_split(common::TimeNs now,
   std::map<std::string, QueueWaitSplit> out;
   for (const auto& shard : shards_) {
     std::scoped_lock lock(shard->mutex);
-    for (const std::uint64_t id : shard->active) {
-      const auto it = shard->records.find(id);
-      if (it == shard->records.end()) continue;
-      const DaemonJob& job = it->second.job;
+    for (const auto& [_, record] : shard->active) {
+      const DaemonJob& job = record->job;
       if (job.state != DaemonJobState::kQueued) continue;
       QueueWaitSplit& split = out[job.user];
       if (now - job.submit_time > threshold) {
@@ -878,8 +917,8 @@ std::map<std::string, Dispatcher::LaneDepth> Dispatcher::lane_depths()
   // result serving, but only active members can sit on a lane.
   for (const auto& shard : shards_) {
     std::scoped_lock lock(shard->mutex);
-    for (const std::uint64_t id : shard->active) {
-      const Record& record = shard->records.at(id);
+    for (const auto& [_, live] : shard->active) {
+      const Record& record = *live;
       const std::string& key = record.job.resource.empty()
                                    ? std::string("(unplaced)")
                                    : record.job.resource;
@@ -898,10 +937,12 @@ std::size_t Dispatcher::cancel_for_session(common::SessionId session) {
   for (const auto& shard : shards_) {
     std::scoped_lock lock(shard->mutex);
     // Copy: finish_locked below erases from active as we cancel.
-    const std::vector<std::uint64_t> live(shard->active.begin(),
-                                          shard->active.end());
-    for (const std::uint64_t id : live) {
-      Record& record = shard->records.at(id);
+    std::vector<Record*> live;
+    live.reserve(shard->active.size());
+    for (const auto& [_, record] : shard->active) live.push_back(record);
+    for (Record* const entry : live) {
+      Record& record = *entry;
+      const std::uint64_t id = record.job.id;
       if (record.job.session != session) continue;
       switch (record.job.state) {
         case DaemonJobState::kQueued:
@@ -964,17 +1005,16 @@ store::JobRecord Dispatcher::to_record_locked(const Record& record) const {
 
 store::StoreSnapshot Dispatcher::durable_snapshot() const {
   // Copy cheap metadata (plus shared payload handles and counts maps)
-  // under the locks; serialize the heavy JSON outside them, so a
-  // compaction over a large job table does not stall submits and
-  // dispatch lanes.
-  struct Staged {
-    store::JobRecord meta;
-    std::shared_ptr<const quantum::Payload> payload;
-    std::shared_ptr<std::atomic<std::uint64_t>> payload_fp;
-    std::optional<quantum::Samples> samples;
-  };
-  std::vector<Staged> staged;
+  // under the locks; the heavy JSON is serialized outside them, one
+  // record at a time as StoreSnapshot::write_atomic streams the file, so
+  // a compaction over a large job table neither stalls submits and
+  // dispatch lanes nor holds a second copy of the history as Json.
   store::StoreSnapshot snapshot;
+  // Payload handles ride next to the records until their fingerprints
+  // are resolved outside the locks.
+  std::vector<std::pair<std::shared_ptr<const quantum::Payload>,
+                        std::shared_ptr<std::atomic<std::uint64_t>>>>
+      payloads;
   {
     // Every job event is appended under its shard's mutex; holding ALL
     // of them means no event is mid-append, so the watermark read here
@@ -990,46 +1030,50 @@ store::StoreSnapshot Dispatcher::durable_snapshot() const {
       // records, later ones replay on top.
       snapshot.usage = accounting_->usage_records(clock_->now());
     }
+    std::size_t total = 0;
+    std::vector<std::map<std::uint64_t, Record>::const_iterator> cursor;
     for (const auto& shard : shards_) {
-      staged.reserve(staged.size() + shard->records.size());
-      for (const auto& [_, record] : shard->records) {
-        Staged entry;
-        entry.meta = to_record_locked(record);
-        entry.payload = record.payload;
-        entry.payload_fp = record.payload_fp;
-        if (record.job.shots_done > 0) entry.samples = record.samples;
-        staged.push_back(std::move(entry));
+      total += shard->records.size();
+      cursor.push_back(shard->records.begin());
+    }
+    snapshot.jobs.reserve(total);
+    snapshot.live_samples.reserve(total);
+    payloads.reserve(total);
+    // Each shard's table is ordered by id, so merging them yields the
+    // snapshot's id order without a sort.
+    while (true) {
+      std::size_t next = shards_.size();
+      for (std::size_t i = 0; i < shards_.size(); ++i) {
+        if (cursor[i] == shards_[i]->records.end()) continue;
+        if (next == shards_.size() || cursor[i]->first < cursor[next]->first) {
+          next = i;
+        }
       }
+      if (next == shards_.size()) break;
+      const Record& record = (cursor[next]++)->second;
+      snapshot.jobs.push_back(to_record_locked(record));
+      snapshot.live_samples.push_back(
+          record.job.shots_done > 0 ? record.samples : nullptr);
+      payloads.emplace_back(record.payload, record.payload_fp);
     }
   }
-  std::sort(staged.begin(), staged.end(),
-            [](const Staged& a, const Staged& b) {
-              return a.meta.id < b.meta.id;
-            });
-  snapshot.jobs.reserve(staged.size());
-  for (auto& entry : staged) {
-    if (entry.payload != nullptr) {
-      // Same content-dedup scheme as the journal: each distinct program
-      // is serialized once into the snapshot's payload table, and jobs
-      // reference it by fingerprint (memoized per record — hashed at
-      // most once per job, not once per compaction).
-      std::uint64_t fp = entry.payload_fp->load(std::memory_order_relaxed);
-      if (fp == 0) {
-        fp = store::payload_fingerprint(*entry.payload);
-        entry.payload_fp->store(fp, std::memory_order_relaxed);
-      }
-      entry.meta.payload_hash = fp;
-      const std::string key = entry.meta.user + "|" +
-                              std::to_string(entry.meta.payload_hash);
-      const auto table = snapshot.payloads.find(key);
-      if (table == snapshot.payloads.end()) {
-        snapshot.payloads.emplace(key, entry.payload->to_json());
-      }
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    auto& [payload, memo] = payloads[i];
+    if (payload == nullptr) continue;
+    // Same content-dedup scheme as the journal: each distinct program
+    // lands once in the snapshot's payload table, and jobs reference it
+    // by fingerprint (memoized per record — hashed at most once per job,
+    // not once per compaction). The table keeps the shared handle; the
+    // body is serialized only as the snapshot streams to disk.
+    std::uint64_t fp = memo->load(std::memory_order_relaxed);
+    if (fp == 0) {
+      fp = store::payload_fingerprint(*payload);
+      memo->store(fp, std::memory_order_relaxed);
     }
-    if (entry.samples.has_value()) {
-      entry.meta.samples = entry.samples->to_json();
-    }
-    snapshot.jobs.push_back(std::move(entry.meta));
+    store::JobRecord& job = snapshot.jobs[i];
+    job.payload_hash = fp;
+    snapshot.payloads.try_emplace(job.user + "|" + std::to_string(fp),
+                                  std::move(payload));
   }
   return snapshot;
 }
@@ -1095,10 +1139,10 @@ void Dispatcher::restore(const std::vector<store::JobRecord>& jobs,
     }
     if (!recovered.samples.is_null()) {
       auto samples = quantum::Samples::from_json(recovered.samples);
-      if (samples.ok()) record.samples = std::move(samples).value();
-    } else {
-      record.samples = Samples(
-          record.payload != nullptr ? record.payload->num_qubits() : 0);
+      if (samples.ok()) {
+        record.samples =
+            std::make_shared<const Samples>(std::move(samples).value());
+      }
     }
     if (record.job.state == DaemonJobState::kQueued) {
       if (!record.job.resource.empty()) {
@@ -1123,7 +1167,6 @@ void Dispatcher::restore(const std::vector<store::JobRecord>& jobs,
                          recovered.submit_time, recovered.id);
       total_queued_.fetch_add(1, std::memory_order_relaxed);
       ++shard.user_pending[record.job.user];
-      shard.active.insert(recovered.id);
       if (accounting_ != nullptr) {
         // The previous life reserved these shots at admission; re-reserve
         // them so this job's releases cannot drain reservations that
@@ -1151,7 +1194,10 @@ void Dispatcher::restore(const std::vector<store::JobRecord>& jobs,
       }
     }
     floor = std::max(floor, recovered.id + 1);
-    shard.records.emplace(recovered.id, std::move(record));
+    const bool queued = record.job.state == DaemonJobState::kQueued;
+    const auto inserted =
+        shard.records.emplace(recovered.id, std::move(record));
+    if (queued) shard.active.emplace(recovered.id, &inserted.first->second);
     index_insert(recovered.id, shard_index);
   }
   // Restore runs before traffic, so a plain max-store is race-free.
@@ -1305,8 +1351,8 @@ void Dispatcher::reassign_from(const std::string& lane) {
   std::size_t stranded = 0;
   for (const auto& shard : shards_) {
     std::scoped_lock lock(shard->mutex);
-    for (const std::uint64_t id : shard->active) {
-      Record& record = shard->records.at(id);
+    for (const auto& [_, live] : shard->active) {
+      Record& record = *live;
       if (record.job.resource != lane) continue;
       if (record.job.state != DaemonJobState::kQueued &&
           record.job.state != DaemonJobState::kRunning) {
@@ -1365,7 +1411,7 @@ Dispatcher::DispatchOutcome Dispatcher::dispatch_one(
   const common::TimeNs now = clock_->now();
   const auto eligible_in = [&](Shard& shard) {
     return [&shard, &lane](std::uint64_t job_id) {
-      const std::string& placed = shard.records.at(job_id).job.resource;
+      const std::string& placed = shard.active.at(job_id)->job.resource;
       return placed == lane || placed.empty();
     };
   };
@@ -1634,10 +1680,15 @@ Dispatcher::DispatchOutcome Dispatcher::dispatch_one(
   }
   shard.core.batch_done(*batch);
   record.job.shots_done += batch->shots;
+  // Copy-on-write: a compaction snapshot may still hold the previous
+  // samples, so they are replaced, never mutated in place.
+  auto merged = std::make_shared<Samples>(
+      record.samples != nullptr ? *record.samples
+                                : Samples(record.payload->num_qubits()));
+  (void)merged->merge(outcome.value());
   // Keep the last batch's metadata (most recent calibration).
-  auto merged_metadata = outcome.value().metadata();
-  (void)record.samples.merge(outcome.value());
-  record.samples.set_metadata(std::move(merged_metadata));
+  merged->set_metadata(outcome.value().metadata());
+  record.samples = std::move(merged);
   // One clock read shared by the journal event and the ledger charge:
   // replay derives the re-charge instant from the event time, so two
   // reads (two different virtual instants) would make the replayed

@@ -31,6 +31,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -39,7 +40,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "accounting/accounting.hpp"
@@ -227,10 +227,11 @@ class Dispatcher {
   /// Pending ids in global dispatch order (k-way merge of shard heads).
   std::vector<std::uint64_t> queue_order() const;
 
-  /// ETA-engine introspection: every pending job's ordering keys plus the
-  /// record fields the estimator needs, in global dispatch order — the
-  /// exact k-way merge queue_order() runs, with one `now` for the whole
-  /// pass so rank/hook snapshots are mutually consistent.
+  /// Every pending job's ordering keys plus its record fields, in global
+  /// dispatch order — the exact k-way merge queue_order() runs, with one
+  /// `now` for the whole pass so rank/hook snapshots are mutually
+  /// consistent. A full sorted copy of the queue: per-job questions use
+  /// for_each_ahead instead.
   struct PendingView {
     std::uint64_t job_id = 0;
     std::string user;
@@ -248,6 +249,19 @@ class Dispatcher {
     std::vector<PendingView> entries;  // global dispatch order
   };
   PendingSnapshot pending_snapshot() const;
+
+  /// ETA-engine introspection: visits every pending job that dispatches
+  /// before `job_id` at `now` (head_before against the job's own keys), in
+  /// no particular order, with its ordering keys and user, next to `me`,
+  /// the job's own view. Each shard is scanned once under its own lock —
+  /// no sort, no copy of the queue. Returns `me`; nullopt (and no visits)
+  /// when the job is not pending.
+  using AheadFn = std::function<void(const PendingView& me,
+                                     const PriorityQueueCore::Head& entry,
+                                     const std::string& user)>;
+  std::optional<PendingView> for_each_ahead(std::uint64_t job_id,
+                                            common::TimeNs now,
+                                            const AheadFn& visit) const;
 
   /// Per-resource view of the queue for GET /v1/queue: how many jobs are
   /// queued on / running on each dispatch lane. Jobs awaiting any healthy
@@ -329,7 +343,10 @@ class Dispatcher {
     /// payload body ever submitted.
     std::shared_ptr<std::atomic<std::uint64_t>> payload_fp =
         std::make_shared<std::atomic<std::uint64_t>>(0);
-    quantum::Samples samples;
+    /// Accumulated samples (null before the first batch lands). Shared
+    /// and immutable like the payload: a batch merge replaces them, so
+    /// compaction snapshots share them instead of copying.
+    std::shared_ptr<const quantum::Samples> samples;
     bool cancel_requested = false;
     bool pinned = false;  // submitted with an explicit resource hint
     std::optional<broker::SchedulingPolicy> policy_hint;
@@ -344,6 +361,13 @@ class Dispatcher {
     bool trace_materialized = false;
   };
 
+  /// Every known user's fair-share factor at one instant.
+  struct FairShareTable {
+    std::uint64_t dispatcher = 0;  // instance_ of the computing dispatcher
+    common::TimeNs now = 0;
+    std::map<std::string, double> factors;
+  };
+
   /// One submit shard: a tenant's entire dispatcher-side state lives in
   /// exactly one shard (hash of the user name), so the submit hot path
   /// takes one shard mutex and touches nothing global but atomics.
@@ -353,9 +377,12 @@ class Dispatcher {
     std::condition_variable cv;
     PriorityQueueCore core;
     std::map<std::uint64_t, Record> records;
-    /// Non-terminal job ids: keeps per-lane queue reporting O(live jobs)
-    /// while records retains every terminal job for result serving.
-    std::unordered_set<std::uint64_t> active;
+    /// Non-terminal jobs by id -> their record (map nodes never move).
+    /// Queue scans resolve each entry's user and placement here in O(1)
+    /// instead of searching every record ever kept, and per-lane queue
+    /// reporting stays O(live jobs) while records retains every terminal
+    /// job for result serving.
+    std::unordered_map<std::uint64_t, Record*> active;
     /// Terminal job ids in finish order (oldest first) — the GC's LRU.
     std::deque<std::uint64_t> terminal_order;
     /// Jobs in state kQueued per user — O(1) admission pre-checks
@@ -378,6 +405,10 @@ class Dispatcher {
                                const qrmi::QrmiPtr& resource);
   void start_lanes();
   void install_priority_hook();
+  /// The accounting fair-share factors at `now`, cached per thread (see
+  /// the definition): a multi-shard pass traverses the population once.
+  std::shared_ptr<const FairShareTable> fair_share_table(
+      common::TimeNs now) const;
   Shard& shard_for_user(const std::string& user) const;
   /// Shard holding `job_id` (via the striped index), or nullptr. The
   /// mapping is immutable for a job's lifetime; the stripe lock is
@@ -387,6 +418,14 @@ class Dispatcher {
   void index_erase(std::uint64_t job_id);
   /// Shard locks in index order (global views: snapshot, GC, restore).
   std::vector<std::unique_lock<std::mutex>> lock_all_shards() const;
+  /// Visits every pending job in global dispatch order at `now` (k-way
+  /// merge of the shards' sorted heads). Caller holds every shard lock.
+  void merge_heads_locked(
+      common::TimeNs now,
+      const std::function<void(const Shard&, const PriorityQueueCore::Head&)>&
+          visit) const;
+  static PendingView pending_view(const Record& record,
+                                  const PriorityQueueCore::Head& head);
   /// Bumps the dispatch epoch and wakes registered lane waiters. Safe to
   /// call while holding any shard lock (dispatch_mutex_ is a leaf). When
   /// every lane is busy (or parked by a global drain) this is one atomic
@@ -422,6 +461,9 @@ class Dispatcher {
                      const std::string& resource,
                      common::DurationNs duration);
 
+  /// Distinguishes dispatchers in one process (fair_share_table's cache).
+  static inline std::atomic<std::uint64_t> next_instance_{1};
+  const std::uint64_t instance_;
   std::shared_ptr<broker::ResourceBroker> broker_;
   common::Clock* clock_;
   telemetry::MetricsRegistry* metrics_;

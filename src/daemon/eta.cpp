@@ -166,6 +166,25 @@ common::DurationNs EtaEngine::outage_overlap(common::TimeNs begin,
   return overlap;
 }
 
+EtaEngine::QueuePosition EtaEngine::position_of(std::uint64_t job_id,
+                                                common::TimeNs now) const {
+  QueuePosition out;
+  out.me = deps_.dispatcher->for_each_ahead(
+      job_id, now,
+      [&](const Dispatcher::PendingView& me,
+          const PriorityQueueCore::Head& entry, const std::string& user) {
+        ++out.jobs_ahead;
+        out.batches_ahead += batches_of(entry.cls, entry.remaining_shots);
+        if (entry.has_hook && me.has_hook && user != me.user &&
+            entry.hook > me.hook + 1e-9) {
+          ++out.better_ranked;
+          auto [it, inserted] = out.outranking.try_emplace(user, entry.hook);
+          if (!inserted) it->second = std::max(it->second, entry.hook);
+        }
+      });
+  return out;
+}
+
 Result<EtaEstimate> EtaEngine::estimate(std::uint64_t job_id) const {
   auto queried = deps_.dispatcher->query(job_id);
   if (!queried.ok()) return queried.error();
@@ -214,39 +233,14 @@ Result<EtaEstimate> EtaEngine::estimate(std::uint64_t job_id) const {
     return out;
   }
 
-  // Queued: simulate the tournament over one consistent shard snapshot.
-  const auto snap = deps_.dispatcher->pending_snapshot();
-  std::size_t index = snap.entries.size();
-  for (std::size_t i = 0; i < snap.entries.size(); ++i) {
-    if (snap.entries[i].job_id == job.id) {
-      index = i;
-      break;
-    }
-  }
-  // Absent from the snapshot = a lane claimed it between query and
-  // snapshot; it is effectively next.
-  std::uint64_t batches_ahead = 0;
-  std::size_t better_ranked = 0;
-  std::map<std::string, double> outranking;
-  const Dispatcher::PendingView* me =
-      index < snap.entries.size() ? &snap.entries[index] : nullptr;
-  if (me != nullptr) {
-    out.jobs_ahead = index;
-    for (std::size_t i = 0; i < index; ++i) {
-      const auto& entry = snap.entries[i];
-      batches_ahead += batches_of(entry.cls, entry.remaining_shots);
-      if (entry.has_hook && me->has_hook && entry.user != me->user &&
-          entry.hook > me->hook + 1e-9) {
-        ++better_ranked;
-        auto [it, inserted] = outranking.try_emplace(entry.user, entry.hook);
-        if (!inserted) it->second = std::max(it->second, entry.hook);
-      }
-    }
-  }
-  out.batches_ahead = batches_ahead;
-
-  const bool pinned = me != nullptr && me->pinned;
-  const std::string pinned_resource = pinned ? me->resource : "";
+  // Queued: aggregate over the jobs that dispatch before this one.
+  // Absent from the queue = a lane claimed it since query(); it is
+  // effectively next.
+  const QueuePosition position = position_of(job.id, now);
+  out.jobs_ahead = position.jobs_ahead;
+  out.batches_ahead = position.batches_ahead;
+  const bool pinned = position.me.has_value() && position.me->pinned;
+  const std::string pinned_resource = pinned ? position.me->resource : "";
   std::vector<std::string> impaired;
   for (const auto& status : deps_.broker->snapshot()) {
     const bool usable = status.healthy && !status.draining;
@@ -259,14 +253,14 @@ Result<EtaEstimate> EtaEngine::estimate(std::uint64_t job_id) const {
 
   out.bounded = out.active_lanes > 0;
   out.confidence = out.bounded ? options_.confidence : 0.0;
-  out.start_earliest = snap.now;
-  out.finish_earliest = snap.now;
+  out.start_earliest = now;
+  out.finish_earliest = now;
   if (out.bounded) {
-    const double backlog = static_cast<double>(batches_ahead) *
+    const double backlog = static_cast<double>(out.batches_ahead) *
                            static_cast<double>(tau) /
                            static_cast<double>(out.active_lanes);
     out.start_latest =
-        snap.now + options_.start_slack +
+        now + options_.start_slack +
         static_cast<common::DurationNs>(options_.margin * backlog);
     const std::uint64_t own = batches_of(job.job_class, job.total_shots);
     out.finish_latest =
@@ -287,9 +281,10 @@ Result<EtaEstimate> EtaEngine::estimate(std::uint64_t job_id) const {
                          common::to_seconds(retry))});
     }
   }
-  if (better_ranked > 0) {
-    std::string detail = common::format(
-        "%zu job(s) ahead hold better fair-share rank", better_ranked);
+  if (position.better_ranked > 0) {
+    std::string detail =
+        common::format("%zu job(s) ahead hold better fair-share rank",
+                       position.better_ranked);
     out.pressures.push_back(
         telemetry::WaitCause{"fair_share_demotion", 0, std::move(detail)});
   }
@@ -304,7 +299,7 @@ Result<EtaEstimate> EtaEngine::estimate(std::uint64_t job_id) const {
       "queue_depth", 0,
       common::format("%zu job(s) / %llu batch(es) ahead in dispatch order",
                      out.jobs_ahead,
-                     static_cast<unsigned long long>(batches_ahead))});
+                     static_cast<unsigned long long>(out.batches_ahead))});
   return out;
 }
 
@@ -340,36 +335,17 @@ Result<telemetry::ExplainReport> EtaEngine::explain(
   report.observed_wait = observed;
 
   // Queue position (pending jobs only): fair-share evidence.
-  std::size_t ahead = 0;
-  std::size_t better_ranked = 0;
-  std::string pinned_resource;
-  std::map<std::string, double> outranking;
-  double my_hook = 0.0;
+  QueuePosition position;
   if (job.state == DaemonJobState::kQueued) {
-    const auto snap = deps_.dispatcher->pending_snapshot();
-    std::size_t index = snap.entries.size();
-    for (std::size_t i = 0; i < snap.entries.size(); ++i) {
-      if (snap.entries[i].job_id == job.id) {
-        index = i;
-        break;
-      }
-    }
-    if (index < snap.entries.size()) {
-      const auto& me = snap.entries[index];
-      if (me.pinned) pinned_resource = me.resource;
-      my_hook = me.hook;
-      ahead = index;
-      for (std::size_t i = 0; i < index; ++i) {
-        const auto& entry = snap.entries[i];
-        if (entry.has_hook && me.has_hook && entry.user != me.user &&
-            entry.hook > me.hook + 1e-9) {
-          ++better_ranked;
-          auto [it, inserted] =
-              outranking.try_emplace(entry.user, entry.hook);
-          if (!inserted) it->second = std::max(it->second, entry.hook);
-        }
-      }
-    }
+    position = position_of(job.id, now);
+  }
+  const std::size_t ahead = position.jobs_ahead;
+  const std::size_t better_ranked = position.better_ranked;
+  std::string pinned_resource;
+  double my_hook = 0.0;
+  if (position.me.has_value()) {
+    if (position.me->pinned) pinned_resource = position.me->resource;
+    my_hook = position.me->hook;
   }
 
   // Exact partition: outage overlap first, then the fair-share slice of
@@ -397,7 +373,7 @@ Result<telemetry::ExplainReport> EtaEngine::explain(
   if (fair > 0) {
     std::string detail = "outranked by ";
     std::size_t listed = 0;
-    for (const auto& [user, hook] : outranking) {
+    for (const auto& [user, hook] : position.outranking) {
       if (listed == 3) break;
       if (listed > 0) detail += ", ";
       detail += user;

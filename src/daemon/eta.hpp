@@ -4,17 +4,19 @@
 // EtaEngine answers two questions from live daemon state:
 //
 //  - estimate(): for any job, a predicted start/finish window with
-//    confidence bounds. For pending jobs it simulates the dispatcher's
-//    tournament order over one consistent shard snapshot
-//    (Dispatcher::pending_snapshot) — jobs ahead per class / fair-share
-//    rank — combined with per-resource drain/health from the broker and
-//    historical per-batch execute latency from the TSDB's scraped
-//    daemon_stage_seconds histogram series. Served at
-//    GET /v1/jobs/:id/eta and embedded in submit 201 responses.
+//    confidence bounds. For pending jobs it aggregates over the jobs that
+//    dispatch before it — count, batches owed, better fair-share ranks —
+//    in one unsorted pass over the shards (Dispatcher::for_each_ahead,
+//    the queue core's exact comparator against the job's own keys), so a
+//    deep queue costs no sort and no copy. That is combined with
+//    per-resource drain/health from the broker and historical per-batch
+//    execute latency from the TSDB's scraped daemon_stage_seconds
+//    histogram series. Served at GET /v1/jobs/:id/eta and embedded in
+//    submit 201 responses.
 //  - explain(): decomposes a job's observed queue wait into named causes
 //    (fair-share demotion, rate-limit backpressure, resource drain/outage
-//    overlap, shard queue depth) computed from the event log, the queue
-//    snapshot and accounting state. The causes are an EXACT partition of
+//    overlap, shard queue depth) computed from the event log, the same
+//    jobs-ahead pass and accounting state. The causes are an EXACT partition of
 //    the observed wait — the unexplained remainder is filed under
 //    "queue_depth", never invented — and simtest asserts that equality.
 //
@@ -24,6 +26,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,7 +74,7 @@ struct EtaEstimate {
   std::string user;
   std::string state;
   common::TimeNs computed_at = 0;
-  /// Tournament position: pending entries ahead in global dispatch order.
+  /// Queue position: pending entries ahead in global dispatch order.
   std::size_t jobs_ahead = 0;
   /// Upper bound on batches the fleet may run before this job starts.
   std::uint64_t batches_ahead = 0;
@@ -126,6 +130,17 @@ class EtaEngine {
   const EtaOptions& options() const noexcept { return options_; }
 
  private:
+  /// Where a pending job stands: aggregates over the jobs ahead of it.
+  struct QueuePosition {
+    std::optional<Dispatcher::PendingView> me;  // nullopt: not pending
+    std::size_t jobs_ahead = 0;
+    std::uint64_t batches_ahead = 0;
+    /// Jobs ahead of other users holding a better fair-share factor, and
+    /// each such user's best factor.
+    std::size_t better_ranked = 0;
+    std::map<std::string, double> outranking;
+  };
+  QueuePosition position_of(std::uint64_t job_id, common::TimeNs now) const;
   /// Batches one pending entry still owes (the queue core's slicing rule).
   std::uint64_t batches_of(JobClass cls, std::uint64_t shots) const;
   /// Time within [begin, end] during which NO lane could dispatch work

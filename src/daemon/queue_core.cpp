@@ -55,37 +55,20 @@ int PriorityQueueCore::effective_rank(const Entry& entry,
   return rank;
 }
 
-std::vector<const PriorityQueueCore::Entry*> PriorityQueueCore::ordered(
-    common::TimeNs now) const {
-  std::vector<const Entry*> order;
-  order.reserve(entries_.size());
-  for (const auto& [_, entry] : entries_) order.push_back(&entry);
-  // Evaluate the hook once per entry, not once per comparison: the hook
-  // may consult the accounting subsystem, and the sort must see one
-  // consistent priority per job for the whole pass.
-  std::map<std::uint64_t, double> hook_priority;
+PriorityQueueCore::Head PriorityQueueCore::head_of(const Entry& entry,
+                                                   int rank,
+                                                   common::TimeNs now) const {
+  Head head;
+  head.job_id = entry.job_id;
+  head.cls = entry.cls;
+  head.rank = rank;
   if (priority_hook_) {
-    for (const Entry* entry : order) {
-      hook_priority[entry->job_id] = priority_hook_(entry->job_id, now);
-    }
+    head.has_hook = true;
+    head.hook = priority_hook_(entry.job_id, now);
   }
-  std::sort(order.begin(), order.end(),
-            [&](const Entry* a, const Entry* b) {
-              const int ra = effective_rank(*a, now);
-              const int rb = effective_rank(*b, now);
-              if (ra != rb) return ra < rb;
-              if (priority_hook_) {
-                const double pa = hook_priority.at(a->job_id);
-                const double pb = hook_priority.at(b->job_id);
-                if (pa != pb) return pa > pb;  // under-served first
-              }
-              if (policy_.shortest_first_within_class &&
-                  a->remaining_shots != b->remaining_shots) {
-                return a->remaining_shots < b->remaining_shots;
-              }
-              return a->seq < b->seq;
-            });
-  return order;
+  head.remaining_shots = entry.remaining_shots;
+  head.seq = entry.seq;
+  return head;
 }
 
 std::optional<Batch> PriorityQueueCore::next_batch(common::TimeNs now) {
@@ -94,54 +77,64 @@ std::optional<Batch> PriorityQueueCore::next_batch(common::TimeNs now) {
 
 std::optional<Batch> PriorityQueueCore::next_batch(
     common::TimeNs now, const EligibleFn& eligible) {
-  if (entries_.empty()) return std::nullopt;
-  const Entry* head = nullptr;
-  for (const Entry* entry : ordered(now)) {
-    if (eligible(entry->job_id)) {
-      head = entry;
-      break;
-    }
-  }
-  if (head == nullptr) return std::nullopt;
+  const auto head = peek_head(now, eligible);
+  if (!head.has_value()) return std::nullopt;
   return take(head->job_id);
 }
 
 std::optional<PriorityQueueCore::Head> PriorityQueueCore::peek_head(
     common::TimeNs now, const EligibleFn& eligible) const {
-  for (const Entry* entry : ordered(now)) {
-    if (!eligible(entry->job_id)) continue;
-    Head head;
-    head.job_id = entry->job_id;
-    head.cls = entry->cls;
-    head.rank = effective_rank(*entry, now);
-    if (priority_hook_) {
-      head.has_hook = true;
-      head.hook = priority_hook_(entry->job_id, now);
+  // One min-scan: seqs are unique, so head_before is a total order and
+  // the minimum eligible entry is exactly the first eligible entry of the
+  // full dispatch order. An entry ranked worse than the best so far can
+  // never win, so its hook is not evaluated.
+  std::optional<Head> best;
+  for (const auto& [job_id, entry] : entries_) {
+    if (!eligible(job_id)) continue;
+    const int rank = effective_rank(entry, now);
+    if (best.has_value() && rank > best->rank) continue;
+    const Head head = head_of(entry, rank, now);
+    if (!best.has_value() ||
+        head_before(head, *best, policy_.shortest_first_within_class)) {
+      best = head;
     }
-    head.remaining_shots = entry->remaining_shots;
-    head.seq = entry->seq;
-    return head;
   }
-  return std::nullopt;
+  return best;
+}
+
+void PriorityQueueCore::for_each_before(
+    const Head& pivot, common::TimeNs now,
+    const std::function<void(const Head&)>& visit) const {
+  for (const auto& [_, entry] : entries_) {
+    const int rank = effective_rank(entry, now);
+    if (rank > pivot.rank) continue;  // cannot precede the pivot
+    const Head head = head_of(entry, rank, now);
+    if (head_before(head, pivot, policy_.shortest_first_within_class)) {
+      visit(head);
+    }
+  }
+}
+
+std::optional<PriorityQueueCore::Head> PriorityQueueCore::head_of(
+    std::uint64_t job_id, common::TimeNs now) const {
+  const auto it = entries_.find(job_id);
+  if (it == entries_.end()) return std::nullopt;
+  return head_of(it->second, effective_rank(it->second, now), now);
 }
 
 std::vector<PriorityQueueCore::Head> PriorityQueueCore::snapshot_heads(
     common::TimeNs now) const {
+  // The hook is evaluated once per entry, not once per comparison: it may
+  // consult the accounting subsystem, and the sort must see one
+  // consistent priority per job for the whole pass.
   std::vector<Head> heads;
   heads.reserve(entries_.size());
-  for (const Entry* entry : ordered(now)) {
-    Head head;
-    head.job_id = entry->job_id;
-    head.cls = entry->cls;
-    head.rank = effective_rank(*entry, now);
-    if (priority_hook_) {
-      head.has_hook = true;
-      head.hook = priority_hook_(entry->job_id, now);
-    }
-    head.remaining_shots = entry->remaining_shots;
-    head.seq = entry->seq;
-    heads.push_back(head);
+  for (const auto& [_, entry] : entries_) {
+    heads.push_back(head_of(entry, effective_rank(entry, now), now));
   }
+  std::sort(heads.begin(), heads.end(), [&](const Head& a, const Head& b) {
+    return head_before(a, b, policy_.shortest_first_within_class);
+  });
   return heads;
 }
 
@@ -227,7 +220,7 @@ std::size_t PriorityQueueCore::depth_of(JobClass cls) const {
 std::vector<std::uint64_t> PriorityQueueCore::snapshot(
     common::TimeNs now) const {
   std::vector<std::uint64_t> out;
-  for (const Entry* entry : ordered(now)) out.push_back(entry->job_id);
+  for (const Head& head : snapshot_heads(now)) out.push_back(head.job_id);
   return out;
 }
 

@@ -81,8 +81,10 @@ class PriorityQueueCore {
   /// hook value is HIGHER dispatch first (ties fall through to
   /// shortest-first, then FIFO seq). The fair-share scheduler hands the
   /// under-served user's jobs forward through this. The hook must be a
-  /// deterministic function of (job_id, now) — it is evaluated once per
-  /// pending job per ordering pass, under the caller's lock — so
+  /// deterministic function of (job_id, now), evaluated under the caller's
+  /// lock: at most once per eligible entry per head scan (peek_head,
+  /// next_batch, for_each_before skip entries whose class rank already
+  /// loses) and once per entry per full-order pass (snapshot_heads) — so
   /// virtual-time benches replay identically. Unset = pure FIFO tiers.
   using PriorityHook =
       std::function<double(std::uint64_t job_id, common::TimeNs now)>;
@@ -131,14 +133,27 @@ class PriorityQueueCore {
     std::uint64_t remaining_shots = 0;
     std::uint64_t seq = 0;   // global FIFO tie-break
   };
+  /// One pass over the pending set, no sort: the minimum under head_before
+  /// among eligible entries (seqs are unique, so that is exactly the first
+  /// eligible entry of the full dispatch order).
   std::optional<Head> peek_head(common::TimeNs now,
                                 const EligibleFn& eligible) const;
+  /// The Head of one pending job at `now`; nullopt if not pending.
+  std::optional<Head> head_of(std::uint64_t job_id, common::TimeNs now) const;
+  /// Visits, in no particular order, every pending entry that dispatches
+  /// before `pivot` (head_before(entry, pivot)) — the jobs ahead of a job
+  /// whose Head `pivot` is, possibly from another shard. One pass, no sort.
+  void for_each_before(const Head& pivot, common::TimeNs now,
+                       const std::function<void(const Head&)>& visit) const;
   /// Every pending job's Head, in this core's dispatch order (global
-  /// views k-way-merge several shards' lists with head_before).
+  /// views k-way-merge several shards' lists with head_before). Only the
+  /// full-order views (queue listings, snapshots) pay for this sort.
   std::vector<Head> snapshot_heads(common::TimeNs now) const;
 
-  /// Strict-weak-order over Heads matching ordered()'s comparator, so
-  /// tournament selection across shards equals single-queue dispatch.
+  /// The dispatch order over Heads: (effective rank asc, hook priority
+  /// desc, optional shortest-first, seq asc). A total order because seqs
+  /// are unique, so tournament selection across shards equals
+  /// single-queue dispatch.
   static bool head_before(const Head& a, const Head& b,
                           bool shortest_first) noexcept;
 
@@ -176,9 +191,8 @@ class PriorityQueueCore {
   };
 
   int effective_rank(const Entry& entry, common::TimeNs now) const;
-  /// Dispatch order: (effective rank asc, hook priority desc, optional
-  /// shortest-first, seq asc).
-  std::vector<const Entry*> ordered(common::TimeNs now) const;
+  /// `entry`'s ordering keys at `now` (evaluates the hook).
+  Head head_of(const Entry& entry, int rank, common::TimeNs now) const;
 
   QueuePolicy policy_;
   PriorityHook priority_hook_;

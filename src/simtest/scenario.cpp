@@ -370,11 +370,14 @@ class SimWorld {
   /// index is HARNESS state, not collector state: it survives daemon
   /// restarts (a new life's collector re-anchors on the mid-run clock,
   /// which would skew the grid) and caps at the horizon so quiescence
-  /// overshoot cannot mint extra samples.
-  void pump_scrapes() {
+  /// overshoot cannot mint extra samples. `upto` (default: the clock)
+  /// bounds the deadlines fired: the step loop passes the step's PLANNED
+  /// time, so which life of a restarted daemon scrapes a deadline never
+  /// depends on how far lane polls nudged the clock past the step.
+  void pump_scrapes(TimeNs upto = -1) {
     pump_replication();
     if (!options_.observability) return;
-    const TimeNs now = clock_.now();
+    const TimeNs now = upto >= 0 ? upto : clock_.now();
     while (grid_idx_ <= max_grid_) {
       const TimeNs t = static_cast<TimeNs>(grid_idx_) * scrape_interval_;
       if (t > now) break;
@@ -1418,9 +1421,9 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
     // step through their poll sleeps — events then fire back-to-back, in
     // order, which preserves the schedule's semantics).
     world.clock().advance_to(step.at);
-    // Grid deadlines the jump passed fire before the step itself: a
+    // Grid deadlines up to the step fire before the step itself: a
     // scrape scheduled at or before t observes the world as of t.
-    world.pump_scrapes();
+    world.pump_scrapes(step.at);
     if (step.is_fault) {
       world.apply(plan.events[step.index]);
     } else {

@@ -106,8 +106,9 @@ RecoveredState RecoveryReplayer::apply(
     state.stats.snapshot_jobs = snapshot->jobs.size();
     state.stats.snapshot_sessions = snapshot->sessions.size();
     state.usage = std::move(snapshot->usage);
+    snapshot->materialize();
     for (auto& [key, body] : snapshot->payloads) {
-      payload_bodies[key] = std::move(body);
+      payload_bodies[key] = std::move(std::get<Json>(body));
     }
     for (auto& job : snapshot->jobs) {
       if (job.payload_hash != 0) {

@@ -11,6 +11,31 @@ using common::Json;
 using common::Result;
 using common::Status;
 
+JobRecord StoreSnapshot::job(std::size_t index) const {
+  JobRecord record = jobs[index];
+  if (index < live_samples.size() && live_samples[index] != nullptr) {
+    record.samples = live_samples[index]->to_json();
+  }
+  return record;
+}
+
+Json StoreSnapshot::payload_json(const PayloadBody& body) {
+  if (const auto* json = std::get_if<Json>(&body)) return *json;
+  return std::get<std::shared_ptr<const quantum::Payload>>(body)->to_json();
+}
+
+void StoreSnapshot::materialize() {
+  for (std::size_t i = 0; i < live_samples.size(); ++i) {
+    if (live_samples[i] != nullptr) {
+      jobs[i].samples = live_samples[i]->to_json();
+    }
+  }
+  live_samples.clear();
+  for (auto& [_, body] : payloads) {
+    if (!std::holds_alternative<Json>(body)) body = payload_json(body);
+  }
+}
+
 Json StoreSnapshot::to_json() const {
   Json out = Json::object();
   out["version"] = kVersion;
@@ -24,11 +49,13 @@ Json StoreSnapshot::to_json() const {
   }
   out["sessions"] = std::move(session_array);
   Json job_array = Json::array();
-  for (const auto& job : jobs) job_array.push_back(job.to_json());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    job_array.push_back(job(i).to_json());
+  }
   out["jobs"] = std::move(job_array);
   if (!payloads.empty()) {
     Json table = Json::object();
-    for (const auto& [key, body] : payloads) table[key] = body;
+    for (const auto& [key, body] : payloads) table[key] = payload_json(body);
     out["payloads"] = std::move(table);
   }
   if (!usage.empty()) {
@@ -97,7 +124,61 @@ Result<StoreSnapshot> StoreSnapshot::from_json(const Json& json) {
 }
 
 Status StoreSnapshot::write_atomic(const std::string& path) const {
-  return write_file_atomic(path, to_json().dump());
+  // The same bytes as to_json().dump(), produced one record at a time:
+  // top-level keys in the std::map order that dump() emits.
+  AtomicFileWriter file(path);
+  std::string& out = file.buffer();
+  const auto key = [&](const char* name, bool first = false) {
+    if (!first) out += ',';
+    Json(name).dump_to(out);
+    out += ':';
+  };
+  const auto array = [&](const char* name, std::size_t size,
+                         const auto& element) {
+    key(name);
+    out += '[';
+    for (std::size_t i = 0; i < size; ++i) {
+      if (i > 0) out += ',';
+      element(i).dump_to(out);
+      file.drain();
+    }
+    out += ']';
+  };
+  out += '{';
+  key("created", /*first=*/true);
+  Json(created).dump_to(out);
+  array("jobs", jobs.size(),
+        [&](std::size_t i) { return job(i).to_json(); });
+  key("jobs_seq");
+  Json(jobs_seq).dump_to(out);
+  key("next_job_id");
+  Json(next_job_id).dump_to(out);
+  if (!payloads.empty()) {
+    key("payloads");
+    out += '{';
+    bool first = true;
+    for (const auto& [name, body] : payloads) {
+      if (!first) out += ',';
+      first = false;
+      Json(name).dump_to(out);
+      out += ':';
+      payload_json(body).dump_to(out);
+      file.drain();
+    }
+    out += '}';
+  }
+  array("sessions", sessions.size(),
+        [&](std::size_t i) { return sessions[i].to_json(); });
+  key("sessions_seq");
+  Json(sessions_seq).dump_to(out);
+  if (!usage.empty()) {
+    array("usage", usage.size(),
+          [&](std::size_t i) { return usage[i].to_json(); });
+  }
+  key("version");
+  Json(kVersion).dump_to(out);
+  out += '}';
+  return file.commit();
 }
 
 Result<std::optional<StoreSnapshot>> StoreSnapshot::load(

@@ -5,10 +5,15 @@
 // retry-after numbers are deterministic.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "daemon/daemon.hpp"
+#include "daemon/eta.hpp"
 #include "net/http_client.hpp"
 #include "qrmi/local_emulator.hpp"
 
@@ -71,7 +76,10 @@ class EtaFixture : public ::testing::Test {
     return Json::parse(response.value().body).value();
   }
 
-  ManualClock clock_{0, /*auto_advance=*/true};
+  // Starts past 0: a job dispatched before any sleep advanced the clock
+  // would otherwise record first_dispatch_time 0, the "never dispatched"
+  // sentinel.
+  ManualClock clock_{common::kSecond, /*auto_advance=*/true};
   std::shared_ptr<qrmi::LocalEmulatorQrmi> resource_;
   std::unique_ptr<MiddlewareDaemon> daemon_;
   std::unique_ptr<net::HttpClient> admin_;
@@ -341,6 +349,171 @@ TEST_F(EtaFixture, EventsSinceBeyondHeadReturnsEmptyWithCursor) {
   EXPECT_TRUE(beyond.at_or_null("events").as_array().empty());
   EXPECT_EQ(beyond.at_or_null("last_seq").as_int(), head);
 }
+
+// ---- exactness: the one-pass jobs-ahead aggregates vs the sorted queue ----
+//
+// estimate() and explain() aggregate over the jobs ahead in one unsorted
+// pass (Dispatcher::for_each_ahead). The reference recomputes the same
+// numbers from the full, sorted pending_snapshot(): a job's position is
+// its index there, and everything before it is "ahead".
+
+struct EtaCase {
+  std::uint64_t seed;
+  std::size_t shards;
+  bool shortest_first;
+};
+
+class EtaExactness : public ::testing::TestWithParam<EtaCase> {};
+
+TEST_P(EtaExactness, AggregatesMatchSortedSnapshot) {
+  const EtaCase param = GetParam();
+  common::Rng rng(param.seed);
+  ManualClock clock(0);
+  auto broker = std::make_shared<broker::ResourceBroker>(
+      broker::BrokerOptions{}, &clock, nullptr);
+  for (const char* name : {"emu0", "emu1"}) {
+    ASSERT_TRUE(
+        broker->add(name, qrmi::LocalEmulatorQrmi::create(name, "sv").value())
+            .ok());
+  }
+  accounting::AccountingManager accounting(accounting::AccountingOptions{},
+                                           &clock, nullptr);
+  QueuePolicy policy;
+  policy.submit_shards = param.shards;
+  policy.shortest_first_within_class = param.shortest_first;
+  policy.non_production_batch_shots = 25;
+  policy.age_to_boost = 10 * kSecond;
+  Dispatcher dispatcher(broker, policy, &clock, nullptr, nullptr,
+                        &accounting);
+  dispatcher.drain();  // everything stays queued: the queue is the input
+  EtaEngine eta({.dispatcher = &dispatcher,
+                 .broker = broker.get(),
+                 .accounting = &accounting,
+                 .tsdb = nullptr,
+                 .events = nullptr,
+                 .clock = &clock,
+                 .policy = policy},
+                EtaOptions{});
+
+  // Six tenants: u0-u2 carry distinct usage (untied fair-share factors),
+  // u3-u5 none at all (tied factors, so order falls through to
+  // shortest-first and seq).
+  for (int u = 0; u < 3; ++u) {
+    accounting.charge_batch("u" + std::to_string(u),
+                            static_cast<std::uint64_t>(100 * (u + 1)),
+                            (u + 1) * common::kMillisecond, 0);
+  }
+  std::vector<std::uint64_t> ids;
+  const int count = static_cast<int>(rng.uniform_int(25, 70));
+  for (int i = 0; i < count; ++i) {
+    clock.advance(rng.uniform_int(0, 4) * kSecond / 2);
+    Dispatcher::SubmitOptions options;
+    if (rng.bernoulli(0.3)) {
+      options.resource = rng.bernoulli(0.5) ? "emu0" : "emu1";
+    }
+    const std::string user = "u" + std::to_string(rng.uniform_int(0, 5));
+    const auto cls = static_cast<JobClass>(rng.uniform_int(0, 2));
+    const auto shots = static_cast<std::uint64_t>(25 * rng.uniform_int(1, 4));
+    auto id = dispatcher.submit(
+        common::SessionId{static_cast<std::uint64_t>(i + 1)}, user, cls,
+        std::make_shared<const Payload>(small_payload(shots)), options);
+    ASSERT_TRUE(id.ok()) << id.error().to_string();
+    ids.push_back(id.value());
+  }
+
+  const auto batches_of = [&](JobClass cls, std::uint64_t shots) {
+    if (cls == JobClass::kProduction) return std::uint64_t{1};
+    return (shots + 24) / 25;
+  };
+  // Probe before and after aging moves jobs across class boundaries.
+  for (const common::TimeNs later : {common::TimeNs{0}, 7 * kSecond,
+                                     policy.age_to_boost}) {
+    clock.advance(later);
+    const auto snap = dispatcher.pending_snapshot();
+    ASSERT_EQ(snap.entries.size(), ids.size());
+    std::size_t fair_demoted_jobs = 0;
+    for (std::size_t index = 0; index < snap.entries.size(); ++index) {
+      const auto& me = snap.entries[index];
+      std::uint64_t batches_ahead = 0;
+      std::size_t better_ranked = 0;
+      std::map<std::string, double> outranking;
+      for (std::size_t i = 0; i < index; ++i) {
+        const auto& entry = snap.entries[i];
+        batches_ahead += batches_of(entry.cls, entry.remaining_shots);
+        if (entry.user != me.user && entry.hook > me.hook + 1e-9) {
+          ++better_ranked;
+          auto [it, inserted] = outranking.try_emplace(entry.user, entry.hook);
+          if (!inserted) it->second = std::max(it->second, entry.hook);
+        }
+      }
+      if (better_ranked > 0) ++fair_demoted_jobs;
+
+      auto estimate = eta.estimate(me.job_id);
+      ASSERT_TRUE(estimate.ok());
+      EXPECT_EQ(estimate.value().jobs_ahead, index) << "job " << me.job_id;
+      EXPECT_EQ(estimate.value().batches_ahead, batches_ahead);
+      std::string demotion;
+      for (const auto& pressure : estimate.value().pressures) {
+        if (pressure.name == "fair_share_demotion") demotion = pressure.detail;
+      }
+      EXPECT_EQ(demotion,
+                better_ranked > 0
+                    ? common::format(
+                          "%zu job(s) ahead hold better fair-share rank",
+                          better_ranked)
+                    : std::string());
+
+      // The explain partition from the same position: no outage (no event
+      // log), the fair-share slice proportional to outranked positions,
+      // and the rest queue depth.
+      auto report = eta.explain(me.job_id);
+      ASSERT_TRUE(report.ok());
+      const common::DurationNs observed = snap.now - me.submit_time;
+      common::DurationNs fair = 0;
+      if (better_ranked > 0 && index > 0) {
+        fair = std::min<common::DurationNs>(
+            static_cast<common::DurationNs>(
+                static_cast<double>(observed) *
+                static_cast<double>(better_ranked) /
+                static_cast<double>(index)),
+            observed);
+      }
+      std::vector<telemetry::WaitCause> expected;
+      if (fair > 0) {
+        std::string detail = "outranked by ";
+        std::size_t listed = 0;
+        for (const auto& [user, hook] : outranking) {
+          if (listed == 3) break;
+          if (listed > 0) detail += ", ";
+          detail += user;
+          if (me.hook > 0.0) {
+            detail += common::format(" (x%.2f)", hook / me.hook);
+          }
+          ++listed;
+        }
+        expected.push_back({"fair_share_demotion", fair, detail});
+      }
+      expected.push_back(
+          {"queue_depth", observed - fair,
+           common::format("%zu job(s) ahead in dispatch order", index)});
+      ASSERT_EQ(report.value().causes.size(), expected.size())
+          << report.value().to_json().dump();
+      for (std::size_t c = 0; c < expected.size(); ++c) {
+        EXPECT_EQ(report.value().causes[c].name, expected[c].name);
+        EXPECT_EQ(report.value().causes[c].duration, expected[c].duration);
+        EXPECT_EQ(report.value().causes[c].detail, expected[c].detail);
+      }
+    }
+    // The workload must exercise the fair-share branch it checks.
+    EXPECT_GT(fair_demoted_jobs, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeededQueues, EtaExactness,
+    ::testing::Values(EtaCase{1, 1, false}, EtaCase{1, 8, false},
+                      EtaCase{2, 1, true}, EtaCase{2, 8, true},
+                      EtaCase{3, 8, false}, EtaCase{4, 1, true}));
 
 TEST(EventCursorTest, CursorSurvivesRingEviction) {
   ManualClock clock(0, /*auto_advance=*/true);

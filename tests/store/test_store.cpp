@@ -11,9 +11,14 @@
 #include <memory>
 #include <thread>
 
+#include "accounting/accounting.hpp"
+#include "broker/broker.hpp"
 #include "common/temp_dir.hpp"
+#include "daemon/dispatcher.hpp"
+#include "qrmi/local_emulator.hpp"
 #include "quantum/payload.hpp"
 #include "quantum/samples.hpp"
+#include "store/fsio.hpp"
 #include "store/journal.hpp"
 #include "store/recovery.hpp"
 #include "store/snapshot.hpp"
@@ -266,6 +271,163 @@ TEST(StoreSnapshotTest, AtomicWriteAndLoadRoundTrip) {
   EXPECT_EQ(got.jobs.front().id, 5u);
   EXPECT_EQ(got.jobs.front().phase, JobPhase::kCompleted);
   EXPECT_EQ(got.jobs.front().samples, samples_json(60, 40));
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// Compaction streams snapshot.json record by record from live dispatcher
+// state (shared payload handles, in-memory samples). The bytes must be
+// exactly what the whole-tree serializer would have written for the same
+// state, loading must round-trip them, and a restart must recover it.
+TEST(StoreSnapshotTest, StreamedCompactionIsByteIdenticalAndRecovers) {
+  TempDir dir;
+  ManualClock clock(5 * common::kSecond);
+  StoreOptions options;
+  options.data_dir = dir.path();
+  options.compact_every_events = 0;  // manual compaction only
+  StateStore store(options, &clock, nullptr);
+  ASSERT_TRUE(store.open().ok());
+
+  auto emulator = qrmi::LocalEmulatorQrmi::create("emu0", "sv").value();
+  // Final 10-shot slices are rejected: a pinned 60-shot job runs two
+  // 25-shot batches, then fails with their samples kept.
+  qrmi::EmulatorFaultHooks hooks;
+  hooks.on_start =
+      [](const quantum::Payload& slice) -> std::optional<common::Error> {
+    if (slice.shots() == 10) return common::err::invalid_argument("rejected");
+    return std::nullopt;
+  };
+  emulator->set_fault_hooks(std::move(hooks));
+  auto broker = std::make_shared<broker::ResourceBroker>(
+      broker::BrokerOptions{}, &clock, nullptr);
+  ASSERT_TRUE(broker->add("emu0", emulator).ok());
+  accounting::AccountingManager accounting(accounting::AccountingOptions{},
+                                           &clock, nullptr);
+  daemon::QueuePolicy policy;
+  policy.non_production_batch_shots = 25;
+  daemon::Dispatcher dispatcher(broker, policy, &clock, nullptr, &store,
+                                &accounting);
+
+  std::vector<SessionRecord> sessions;
+  for (const char* user : {"alice", "bob"}) {
+    SessionRecord session;
+    session.id = sessions.size() + 1;
+    session.user = user;
+    session.token = std::string("tok-") + user;
+    session.created = clock.now();
+    sessions.push_back(session);
+  }
+  // Sweep-style submissions share one payload object (deduped per user).
+  const auto shared = std::make_shared<const quantum::Payload>(
+      small_payload(30));
+  const auto submit = [&](const std::string& user, daemon::JobClass cls,
+                          std::shared_ptr<const quantum::Payload> payload,
+                          const std::string& pin = "") {
+    daemon::Dispatcher::SubmitOptions hints;
+    hints.resource = pin;
+    auto id = dispatcher.submit(common::SessionId{1}, user, cls,
+                                std::move(payload), hints);
+    EXPECT_TRUE(id.ok());
+    return id.ok() ? id.value() : 0;
+  };
+  std::vector<std::uint64_t> ran;
+  for (int i = 0; i < 6; ++i) {
+    ran.push_back(submit(i % 2 == 0 ? "alice" : "bob",
+                         daemon::JobClass::kTest, shared));
+  }
+  ran.push_back(submit("alice", daemon::JobClass::kProduction,
+                       std::make_shared<const quantum::Payload>(
+                           small_payload(40)),
+                       "emu0"));
+  const std::uint64_t failed =
+      submit("bob", daemon::JobClass::kDevelopment,
+             std::make_shared<const quantum::Payload>(small_payload(60)),
+             "emu0");
+  for (const std::uint64_t id : ran) {
+    ASSERT_TRUE(dispatcher.wait(id, 60 * common::kSecond).ok()) << id;
+  }
+  EXPECT_FALSE(dispatcher.wait(failed, 60 * common::kSecond).ok());
+  ASSERT_EQ(dispatcher.query(failed).value().state,
+            daemon::DaemonJobState::kFailed);
+  ASSERT_EQ(dispatcher.query(failed).value().shots_done, 50u);
+
+  // A queued backlog (large enough that the stream drains its buffer
+  // many times), some of it cancelled.
+  dispatcher.drain();
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t id =
+        submit(i % 3 == 0 ? "carol" : "alice", daemon::JobClass::kDevelopment,
+               i % 4 == 0 ? shared
+                          : std::make_shared<const quantum::Payload>(
+                                small_payload(20 + static_cast<std::uint64_t>(
+                                                       i))));
+    if (i % 50 == 0) {
+      ASSERT_TRUE(dispatcher.cancel(id).ok());
+    }
+  }
+  ASSERT_TRUE(store.flush().ok());
+
+  const auto provide = [&] {
+    StoreSnapshot snapshot = dispatcher.durable_snapshot();
+    snapshot.sessions_seq = store.journal().last_seq();
+    snapshot.sessions = sessions;
+    return snapshot;
+  };
+  store.set_snapshot_provider(provide);
+  ASSERT_TRUE(store.compact().ok());
+  const std::string bytes = read_file(dir.file("snapshot.json"));
+  EXPECT_GT(bytes.size(), 2 * AtomicFileWriter::kFlushBytes);
+
+  // The same (quiescent) state through the whole-tree serializer.
+  StoreSnapshot expected = provide();
+  expected.created = clock.now();
+  EXPECT_FALSE(expected.live_samples.empty());
+  EXPECT_EQ(bytes, expected.to_json().dump());
+
+  // Loading parses the streamed bytes back to the same document, and the
+  // loaded (plain Json) form streams out the same bytes again.
+  auto loaded = StoreSnapshot::load(dir.file("snapshot.json"));
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(loaded.value().has_value());
+  EXPECT_EQ(loaded.value()->to_json().dump(), bytes);
+  ASSERT_TRUE(loaded.value()->write_atomic(dir.file("again.json")).ok());
+  EXPECT_EQ(read_file(dir.file("again.json")), bytes);
+
+  // Restart: recovery rebuilds every job from the snapshot alone.
+  expected.materialize();
+  StateStore revived(options, &clock, nullptr);
+  auto recovered = revived.open();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value().stats.snapshot_jobs, expected.jobs.size());
+  EXPECT_EQ(recovered.value().stats.journal_events, 0u);
+  ASSERT_EQ(recovered.value().jobs.size(), expected.jobs.size());
+  std::map<JobPhase, int> phases;
+  for (std::size_t i = 0; i < expected.jobs.size(); ++i) {
+    const JobRecord& want = expected.jobs[i];
+    const JobRecord& got = recovered.value().jobs[i];
+    ASSERT_EQ(got.id, want.id);
+    EXPECT_EQ(got.phase, want.phase) << "job " << want.id;
+    EXPECT_EQ(got.shots_done, want.shots_done) << "job " << want.id;
+    EXPECT_EQ(got.samples, want.samples) << "job " << want.id;
+    EXPECT_EQ(got.pinned, want.pinned) << "job " << want.id;
+    EXPECT_EQ(got.error, want.error) << "job " << want.id;
+    EXPECT_FALSE(got.payload.is_null()) << "job " << want.id;
+    ++phases[got.phase];
+  }
+  EXPECT_EQ(phases[JobPhase::kCompleted], 7);
+  EXPECT_EQ(phases[JobPhase::kFailed], 1);
+  EXPECT_EQ(phases[JobPhase::kCancelled], 6);
+  ASSERT_EQ(recovered.value().sessions.size(), sessions.size());
+  ASSERT_EQ(recovered.value().usage.size(), expected.usage.size());
+  EXPECT_FALSE(expected.usage.empty());
+  for (std::size_t i = 0; i < expected.usage.size(); ++i) {
+    EXPECT_EQ(recovered.value().usage[i].to_json(),
+              expected.usage[i].to_json());
+  }
 }
 
 TEST(StoreSnapshotTest, MissingFileLoadsAsEmpty) {
