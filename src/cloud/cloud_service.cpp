@@ -111,6 +111,8 @@ void CloudService::install_routes() {
         return HttpResponse::json(200, body.dump());
       });
 
+  // Inherits the backend's fetch semantics: a LocalEmulatorQrmi forgets a
+  // task once its result is fetched, so a repeated GET here is a 404.
   server_.router().add(
       "GET", "/api/v1/jobs/:id/result",
       [this](const HttpRequest&, const PathParams& params) {

@@ -185,6 +185,10 @@ MiddlewareDaemon::MiddlewareDaemon(DaemonOptions options,
   dispatcher_->set_terminal_retention(options_.store.terminal_job_retention,
                                       options_.store.terminal_job_cap);
   dispatcher_->set_slow_job_threshold(options_.telemetry.slow_job_threshold);
+  // Before any job can finish: lanes fold terminal traces into the
+  // critical-path profiler from finish_locked, and a restored job can
+  // finish as soon as restore() queues it.
+  dispatcher_->set_profiler(&profiler_);
   if (store_ != nullptr) {
     dispatcher_->restore(recovered_jobs, next_job_id);
     store_->set_snapshot_provider([this] { return build_snapshot(); });
@@ -222,9 +226,6 @@ MiddlewareDaemon::MiddlewareDaemon(DaemonOptions options,
     }
     observability_->start();
   }
-  // Before any job can finish: lanes fold terminal traces into the
-  // critical-path profiler from finish_locked.
-  dispatcher_->set_profiler(&profiler_);
   EtaEngine::Deps eta_deps;
   eta_deps.dispatcher = dispatcher_.get();
   eta_deps.broker = broker_.get();

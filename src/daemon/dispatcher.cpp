@@ -16,7 +16,9 @@ using quantum::Samples;
 
 namespace {
 
-/// Poll interval for synchronous batch execution through QRMI.
+/// Poll interval for synchronous batch execution through QRMI: only the
+/// fallback cadence of resources that keep Qrmi::task_wait's polling
+/// default. In-process resources wake the lane on completion instead.
 constexpr common::DurationNs kRunPoll = common::kMillisecond;
 
 /// Failover budget per job: a batch returned by batch_failed() more often
@@ -1148,14 +1150,18 @@ void Dispatcher::restore(const std::vector<store::JobRecord>& jobs,
       if (!record.job.resource.empty()) {
         // A recovered pin: re-bind through the broker so load accounting
         // and health checks hold; if the resource is gone or unusable,
-        // unplace — the same treatment live failover gives a dead pin.
+        // unplace — the same treatment live failover gives a dead pin,
+        // journaled like it: a compaction snapshot taken from memory and a
+        // replay of the journal alone (a standby's mirror) must agree.
         auto bound = broker_->pick({.policy = record.policy_hint,
                                     .resource_hint = record.job.resource,
                                     .exclude = {}});
-        if (bound.ok()) {
-          record.job.resource = std::move(bound).value();
-        } else {
-          record.job.resource.clear();
+        std::string placed = bound.ok() ? std::move(bound).value() : "";
+        if (placed != record.job.resource) {
+          record.job.resource = std::move(placed);
+          if (store_ != nullptr) {
+            store_->job_placed(record.job.id, record.job.resource);
+          }
         }
       }
       const std::uint64_t remaining =
@@ -1448,6 +1454,10 @@ Dispatcher::DispatchOutcome Dispatcher::dispatch_one(
     // the head (or a cancel removed it) between peek and take. The exact
     // winner matters — taking whatever is best NOW without a rescan
     // could overtake a higher-priority head in a different shard.
+    // Re-check the global drain here too: a lane that passed lane_loop's
+    // check just before drain() returned must not take a job submitted
+    // after it (this lock orders the submit after the drain).
+    if (draining_.load()) return DispatchOutcome::kIdle;
     const auto head = shard.core.peek_head(now, eligible_in(shard));
     if (!head.has_value() || head->job_id != best->job_id) {
       return DispatchOutcome::kRetry;

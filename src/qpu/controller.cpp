@@ -87,7 +87,7 @@ Result<Samples> QpuController::result(TaskId id) const {
   }
 }
 
-Result<Samples> QpuController::wait(TaskId id) {
+Result<TaskState> QpuController::wait_terminal(TaskId id) {
   std::unique_lock lock(mutex_);
   const auto it = tasks_.find(id);
   if (it == tasks_.end()) {
@@ -99,7 +99,12 @@ Result<Samples> QpuController::wait(TaskId id) {
            entry->info.state == TaskState::kFailed ||
            entry->info.state == TaskState::kCancelled;
   });
-  lock.unlock();
+  return entry->info.state;
+}
+
+Result<Samples> QpuController::wait(TaskId id) {
+  auto state = wait_terminal(id);
+  if (!state.ok()) return state.error();
   return result(id);
 }
 

@@ -54,8 +54,10 @@ class QpuController {
   /// Result of a completed task; kFailedPrecondition while pending/running.
   common::Result<quantum::Samples> result(common::TaskId id) const;
 
-  /// Blocks until the task reaches a terminal state, then returns its
-  /// samples (or the execution error).
+  /// Blocks until the task reaches a terminal state and returns that state.
+  common::Result<TaskState> wait_terminal(common::TaskId id);
+
+  /// wait_terminal, then the task's samples (or the execution error).
   common::Result<quantum::Samples> wait(common::TaskId id);
 
   /// Cancels a queued task immediately or aborts a running one at the next

@@ -51,10 +51,8 @@ Result<std::string> DirectQpuQrmi::task_start(
   return id.to_string();
 }
 
-Result<TaskStatus> DirectQpuQrmi::task_status(const std::string& task_id) {
-  auto id = decode(task_id);
-  if (!id.ok()) return id.error();
-  auto state = controller_->status(id.value());
+namespace {
+Result<TaskStatus> from_state(const Result<qpu::TaskState>& state) {
   if (!state.ok()) return state.error();
   switch (state.value()) {
     case qpu::TaskState::kQueued: return TaskStatus::kQueued;
@@ -64,6 +62,23 @@ Result<TaskStatus> DirectQpuQrmi::task_status(const std::string& task_id) {
     case qpu::TaskState::kCancelled: return TaskStatus::kCancelled;
   }
   return common::err::internal("unreachable task state");
+}
+}  // namespace
+
+Result<TaskStatus> DirectQpuQrmi::task_status(const std::string& task_id) {
+  auto id = decode(task_id);
+  if (!id.ok()) return id.error();
+  return from_state(controller_->status(id.value()));
+}
+
+Result<TaskStatus> DirectQpuQrmi::task_wait(const std::string& task_id,
+                                            common::DurationNs,
+                                            common::Clock*,
+                                            std::uint64_t* polls) {
+  if (polls != nullptr) ++*polls;
+  auto id = decode(task_id);
+  if (!id.ok()) return id.error();
+  return from_state(controller_->wait_terminal(id.value()));
 }
 
 Result<Samples> DirectQpuQrmi::task_result(const std::string& task_id) {

@@ -29,6 +29,11 @@ class DirectQpuQrmi final : public Qrmi {
   common::Result<std::string> task_start(
       const quantum::Payload& payload) override;
   common::Result<TaskStatus> task_status(const std::string& task_id) override;
+  /// Blocks on the controller until the task is terminal.
+  common::Result<TaskStatus> task_wait(const std::string& task_id,
+                                       common::DurationNs poll_interval,
+                                       common::Clock* clock,
+                                       std::uint64_t* polls) override;
   common::Result<quantum::Samples> task_result(
       const std::string& task_id) override;
   common::Status task_stop(const std::string& task_id) override;

@@ -86,29 +86,26 @@ Result<std::string> LocalEmulatorQrmi::task_start(const Payload& payload) {
   // while the resource-level seed keeps whole experiments reproducible.
   options.seed =
       run_options_.seed ^ (seed_counter_.fetch_add(1) * 0x9E3779B9ull);
-  // Both captures are weak on purpose. The future below lives inside the
-  // Task, and a packaged_task's shared state keeps its callable alive, so a
-  // strong Task capture would create a Task -> future -> callable -> Task
-  // cycle that leaks every completed task. And the pool is process-wide, so
-  // a strong (or raw `this`) resource capture would let a queued job run
-  // against a destroyed resource; locking `self` first keeps backend_ and
-  // mutex_ alive for the duration of the job.
-  task->completion = common::default_pool().submit(
-      [self = weak_from_this(), weak = std::weak_ptr<Task>(task), payload,
-       options] {
+  // The resource capture is weak on purpose: the pool is process-wide, so
+  // a strong (or raw `this`) capture would let a queued job run against a
+  // destroyed resource; locking `self` first keeps backend_ and mutex_
+  // alive for the duration of the job.
+  (void)common::default_pool().submit(
+      [self = weak_from_this(), task, payload, options] {
         const auto resource = self.lock();
         if (!resource) return;  // resource torn down while the job was queued
         auto outcome = resource->backend_->run(payload, options);
-        const auto task = weak.lock();
-        if (!task) return;
-        std::scoped_lock lock(resource->mutex_);
-        if (outcome.ok()) {
-          task->samples = std::move(outcome).value();
-          task->status = TaskStatus::kCompleted;
-        } else {
-          task->error = outcome.error();
-          task->status = TaskStatus::kFailed;
+        {
+          std::scoped_lock lock(resource->mutex_);
+          if (outcome.ok()) {
+            task->samples = std::move(outcome).value();
+            task->status = TaskStatus::kCompleted;
+          } else {
+            task->error = outcome.error();
+            task->status = TaskStatus::kFailed;
+          }
         }
+        resource->done_.notify_all();
       });
   return id;
 }
@@ -127,25 +124,58 @@ Result<TaskStatus> LocalEmulatorQrmi::task_status(const std::string& task_id) {
   return it->second->status;
 }
 
-Result<Samples> LocalEmulatorQrmi::task_result(const std::string& task_id) {
-  std::shared_ptr<Task> task;
-  {
-    std::scoped_lock lock(mutex_);
-    const auto it = tasks_.find(task_id);
-    if (it == tasks_.end()) {
-      return common::err::not_found("unknown task: " + task_id);
-    }
-    task = it->second;
+Result<std::shared_ptr<LocalEmulatorQrmi::Task>>
+LocalEmulatorQrmi::wait_terminal_locked(std::unique_lock<std::mutex>& lock,
+                                        const std::string& task_id) {
+  const auto it = tasks_.find(task_id);
+  if (it == tasks_.end()) {
+    return common::err::not_found("unknown task: " + task_id);
   }
-  if (task->completion.valid()) task->completion.wait();
-  std::scoped_lock lock(mutex_);
-  switch (task->status) {
+  std::shared_ptr<Task> task = it->second;
+  done_.wait(lock, [&] { return is_terminal(task->status); });
+  return task;
+}
+
+Result<TaskStatus> LocalEmulatorQrmi::task_wait(const std::string& task_id,
+                                                common::DurationNs,
+                                                common::Clock*,
+                                                std::uint64_t* polls) {
+  if (polls != nullptr) ++*polls;
+  std::unique_lock lock(mutex_);
+  auto waited = wait_terminal_locked(lock, task_id);
+  if (!waited.ok()) return waited.error();
+  const Task& task = *waited.value();
+  // The virtual completion gate: virtual time moves by the remaining
+  // modelled latency only, through the same clock the gate reads.
+  while (!ready_locked(task)) {
+    common::Clock* gate = fault_clock_;
+    const common::DurationNs remaining = task.ready_at - gate->now();
+    lock.unlock();
+    gate->sleep_for(remaining);
+    lock.lock();
+  }
+  return task.status;
+}
+
+Result<Samples> LocalEmulatorQrmi::task_result(const std::string& task_id) {
+  std::unique_lock lock(mutex_);
+  auto waited = wait_terminal_locked(lock, task_id);
+  if (!waited.ok()) return waited.error();
+  // Fetching forgets the task. Only the caller whose erase removed it may
+  // take the samples; a concurrent fetch of the same id finds it gone.
+  if (tasks_.erase(task_id) == 0) {
+    return common::err::not_found("unknown task: " + task_id);
+  }
+  Task& task = *waited.value();
+  switch (task.status) {
     case TaskStatus::kCompleted:
       if (fault_hooks_.corrupt_result) {
-        return fault_hooks_.corrupt_result(*task->samples);
+        const auto corrupt = fault_hooks_.corrupt_result;
+        lock.unlock();
+        return corrupt(std::move(*task.samples));
       }
-      return *task->samples;
-    case TaskStatus::kFailed: return *task->error;
+      return std::move(*task.samples);
+    case TaskStatus::kFailed: return *task.error;
     case TaskStatus::kCancelled:
       return common::err::cancelled("task cancelled: " + task_id);
     default:
@@ -163,6 +193,7 @@ Status LocalEmulatorQrmi::task_stop(const std::string& task_id) {
   }
   if (it->second->status == TaskStatus::kQueued) {
     it->second->status = TaskStatus::kCancelled;
+    done_.notify_all();
   }
   return Status::ok_status();
 }

@@ -1,11 +1,13 @@
 // QRMI resource type "local-emulator": the paper's extension of QRMI to
 // locally running emulators. Tasks execute on a worker thread so the
-// interface behaves asynchronously like the other resource types.
+// interface behaves asynchronously like the other resource types; the
+// worker signals completion, so task_wait and task_result block without
+// polling. A task is forgotten once its result is fetched.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -31,9 +33,10 @@ struct EmulatorFaultHooks {
       on_start;
   /// Virtual execution time for a task of `shots` shots. With a clock
   /// installed via set_fault_hooks the task reports kRunning until
-  /// clock->now() passes start + latency — so batch durations (and the
-  /// QPU time the accounting ledger charges) follow injected virtual
-  /// time, never the host's scheduling noise.
+  /// clock->now() passes start + latency, and task_wait sleeps on that
+  /// clock until then — so batch durations (and the QPU time the
+  /// accounting ledger charges) follow injected virtual time, never the
+  /// host's scheduling noise.
   std::function<common::DurationNs(std::uint64_t shots)> latency;
   /// Applied to completed samples on fetch. Used ONLY to plant deliberate
   /// invariant violations (e.g. silently dropping shots) and prove the
@@ -77,6 +80,14 @@ class LocalEmulatorQrmi final
   common::Result<std::string> task_start(
       const quantum::Payload& payload) override;
   common::Result<TaskStatus> task_status(const std::string& task_id) override;
+  /// Blocks until the worker finishes the task, then (latency hook) sleeps
+  /// on the fault clock until the virtual completion gate passes.
+  common::Result<TaskStatus> task_wait(const std::string& task_id,
+                                       common::DurationNs poll_interval,
+                                       common::Clock* clock,
+                                       std::uint64_t* polls) override;
+  /// Waits for completion, returns the samples and forgets the task: later
+  /// status, wait and result calls for its id return kNotFound.
   common::Result<quantum::Samples> task_result(
       const std::string& task_id) override;
   common::Status task_stop(const std::string& task_id) override;
@@ -93,7 +104,6 @@ class LocalEmulatorQrmi final
     TaskStatus status = TaskStatus::kQueued;
     std::optional<quantum::Samples> samples;
     std::optional<common::Error> error;
-    std::future<void> completion;
     /// Virtual completion gate (latency hook): while the injected clock
     /// reads earlier than this, a finished task still reports kRunning.
     common::TimeNs ready_at = 0;
@@ -102,6 +112,11 @@ class LocalEmulatorQrmi final
   /// True once `task`'s virtual completion gate has passed (always true
   /// without a latency clock). Caller must hold mutex_.
   bool ready_locked(const Task& task) const;
+
+  /// Looks `task_id` up and blocks on done_ until its status is terminal.
+  /// `lock` holds mutex_ on entry and on return.
+  common::Result<std::shared_ptr<Task>> wait_terminal_locked(
+      std::unique_lock<std::mutex>& lock, const std::string& task_id);
 
   std::string resource_id_;
   std::string backend_kind_;
@@ -112,6 +127,7 @@ class LocalEmulatorQrmi final
   std::atomic<bool> offline_{false};
 
   std::mutex mutex_;
+  std::condition_variable done_;  // notified when a task turns terminal
   std::unordered_map<std::string, std::shared_ptr<Task>> tasks_;
   EmulatorFaultHooks fault_hooks_;
   common::Clock* fault_clock_ = nullptr;

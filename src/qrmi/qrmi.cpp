@@ -43,27 +43,14 @@ common::TimeNs run_sync_now(const common::Clock* clock) {
 }
 }  // namespace
 
-common::Result<quantum::Samples> Qrmi::run_sync(
-    const quantum::Payload& payload, common::DurationNs poll_interval,
-    common::Clock* clock, RunStats* stats) {
-  auto task = task_start(payload);
-  if (!task.ok()) return task.error();
-  const std::string& id = task.value();
-  if (stats != nullptr) stats->poll_start = run_sync_now(clock);
+common::Result<TaskStatus> Qrmi::task_wait(const std::string& task_id,
+                                           common::DurationNs poll_interval,
+                                           common::Clock* clock,
+                                           std::uint64_t* polls) {
   while (true) {
-    auto status = task_status(id);
-    if (stats != nullptr) {
-      ++stats->polls;
-      stats->poll_end = run_sync_now(clock);
-    }
-    if (!status.ok()) {
-      // Best-effort cancel so a task we can no longer observe does not keep
-      // consuming the resource (the caller will re-dispatch elsewhere).
-      (void)task_stop(id);
-      if (stats != nullptr) stats->result_end = stats->poll_end;
-      return status.error();
-    }
-    if (is_terminal(status.value())) break;
+    auto status = task_status(task_id);
+    if (polls != nullptr) ++*polls;
+    if (!status.ok() || is_terminal(status.value())) return status;
     if (clock != nullptr) {
       clock->sleep_for(poll_interval);
       // A virtual clock may return instantly (auto-advancing manual
@@ -73,6 +60,25 @@ common::Result<quantum::Samples> Qrmi::run_sync(
     } else {
       std::this_thread::sleep_for(std::chrono::nanoseconds(poll_interval));
     }
+  }
+}
+
+common::Result<quantum::Samples> Qrmi::run_sync(
+    const quantum::Payload& payload, common::DurationNs poll_interval,
+    common::Clock* clock, RunStats* stats) {
+  auto task = task_start(payload);
+  if (!task.ok()) return task.error();
+  const std::string& id = task.value();
+  if (stats != nullptr) stats->poll_start = run_sync_now(clock);
+  auto status = task_wait(id, poll_interval, clock,
+                          stats != nullptr ? &stats->polls : nullptr);
+  if (stats != nullptr) stats->poll_end = run_sync_now(clock);
+  if (!status.ok()) {
+    // Best-effort cancel so a task we can no longer observe does not keep
+    // consuming the resource (the caller will re-dispatch elsewhere).
+    (void)task_stop(id);
+    if (stats != nullptr) stats->result_end = stats->poll_end;
+    return status.error();
   }
   auto result = task_result(id);
   if (stats != nullptr) stats->result_end = run_sync_now(clock);

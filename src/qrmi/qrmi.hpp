@@ -5,9 +5,16 @@
 //   acquire() -> token        exclusive or shared lease on the resource
 //   task_start(payload)       submit; returns an opaque task id
 //   task_status(id)           poll
+//   task_wait(id)             block until terminal
 //   task_result(id)           fetch samples once completed
 //   task_stop(id)             cancel
 //   release(token)
+// task_wait's default polls task_status; resources that can signal
+// completion override it (LocalEmulatorQrmi wakes on its worker's
+// notification, DirectQpuQrmi on the vendor controller's), so a waiting
+// caller resumes the moment the task ends. CloudQrmi keeps the default.
+// A task whose result was fetched may be forgotten: LocalEmulatorQrmi
+// then answers later status, wait and result calls with kNotFound.
 // target() returns the current device specification (with live calibration)
 // so programs can be validated at the point of execution.
 //
@@ -73,25 +80,35 @@ class Qrmi {
       const std::string& task_id) = 0;
   virtual common::Status task_stop(const std::string& task_id) = 0;
 
+  /// Blocks until the task is terminal and returns that status, or returns
+  /// the first task_status error. The default polls task_status every
+  /// `poll_interval`, pacing through `clock` when one is given (see
+  /// run_sync); overrides ignore both, wake on completion and count as one
+  /// check. `polls`, when non-null, is incremented once per status check.
+  virtual common::Result<TaskStatus> task_wait(const std::string& task_id,
+                                               common::DurationNs poll_interval,
+                                               common::Clock* clock,
+                                               std::uint64_t* polls);
+
   /// Current device specification (embedding the live calibration snapshot).
   virtual common::Result<quantum::DeviceSpec> target() = 0;
 
   /// Implementation-defined details (engine, endpoint, limits).
   virtual common::Json metadata() = 0;
 
-  /// Timing breakdown of one run_sync() call, for tracing: the poll loop
-  /// and result fetch become child spans of the dispatcher's qrmi_execute
+  /// Timing breakdown of one run_sync() call, for tracing: the wait and
+  /// result fetch become child spans of the dispatcher's qrmi_execute
   /// stage. Timestamps come from the caller's clock when one is provided
   /// (virtual-time deterministic), else from the wall clock.
   struct RunStats {
     common::TimeNs poll_start = 0;    // after task_start returned
-    common::TimeNs poll_end = 0;      // last task_status observation
+    common::TimeNs poll_end = 0;      // task_wait returned
     common::TimeNs result_end = 0;    // after task_result returned
-    std::uint64_t polls = 0;          // task_status calls issued
+    std::uint64_t polls = 0;          // status checks task_wait made
   };
 
-  /// Convenience: start, poll until terminal, and return the result.
-  /// `poll_interval` applies to asynchronous resource types. When `clock`
+  /// Convenience: start, task_wait until terminal, and return the result.
+  /// `poll_interval` paces the polling default of task_wait. When `clock`
   /// is provided the poll pacing goes through it instead of a raw
   /// std::this_thread sleep — identical under WallClock, and the seam
   /// that lets virtual-time harnesses drive dispatch with no real sleeps.

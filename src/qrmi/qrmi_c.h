@@ -57,7 +57,9 @@ int qrmi_task_start(qrmi_handle* handle, const char* payload_json,
                     char** out_task_id);
 int qrmi_task_status(qrmi_handle* handle, const char* task_id,
                      int* out_status);
-/* Serialized Samples JSON; free with qrmi_string_free. */
+/* Serialized Samples JSON; free with qrmi_string_free. A resource may
+ * forget a fetched task (local emulators do): later calls for its id then
+ * return QRMI_ERR_NOT_FOUND. */
 int qrmi_task_result(qrmi_handle* handle, const char* task_id,
                      char** out_samples_json);
 int qrmi_task_stop(qrmi_handle* handle, const char* task_id);

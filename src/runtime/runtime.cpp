@@ -136,14 +136,9 @@ Result<JobHandle> HybridRuntime::submit(const Payload& payload) {
 
 Result<Samples> HybridRuntime::wait(const JobHandle& handle) {
   if (local_.has_value()) {
-    // Poll the QRMI resource.
-    while (true) {
-      auto status = local_->resource->task_status(handle.id);
-      if (!status.ok()) return status.error();
-      if (qrmi::is_terminal(status.value())) break;
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(options_.poll_interval));
-    }
+    auto status = local_->resource->task_wait(
+        handle.id, options_.poll_interval, nullptr, nullptr);
+    if (!status.ok()) return status.error();
     return local_->resource->task_result(handle.id);
   }
   while (true) {

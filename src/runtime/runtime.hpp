@@ -30,6 +30,8 @@ struct RuntimeOptions {
   /// Slurm partition name forwarded to the daemon ("the daemon retrieves
   /// the job's priority from Slurm").
   std::string partition;
+  /// Status poll cadence of wait(): the daemon's job route, and local
+  /// resources that keep Qrmi::task_wait's polling default.
   common::DurationNs poll_interval = 20 * common::kMillisecond;
 };
 

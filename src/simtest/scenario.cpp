@@ -373,7 +373,7 @@ class SimWorld {
   /// overshoot cannot mint extra samples. `upto` (default: the clock)
   /// bounds the deadlines fired: the step loop passes the step's PLANNED
   /// time, so which life of a restarted daemon scrapes a deadline never
-  /// depends on how far lane polls nudged the clock past the step.
+  /// depends on how far lane latency sleeps nudged the clock past it.
   void pump_scrapes(TimeNs upto = -1) {
     pump_replication();
     if (!options_.observability) return;
@@ -1418,7 +1418,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   world.prepare_observability(plan);
   for (const auto& step : timeline) {
     // Catch-up jump (lanes may already have nudged virtual time past the
-    // step through their poll sleeps — events then fire back-to-back, in
+    // step through their latency sleeps — events then fire back-to-back, in
     // order, which preserves the schedule's semantics).
     world.clock().advance_to(step.at);
     // Grid deadlines up to the step fire before the step itself: a

@@ -4,15 +4,15 @@
 // seeded FaultPlan injects QPU flaps, drains, kill-and-restarts, journal
 // disk deaths, torn tails, compactions, cancels, session churn and tenant
 // submit storms at scheduled virtual times. All time-dependent behaviour —
-// probe backoff, rate-limiter refill, ledger decay, execution latency,
-// QRMI poll pacing — runs in virtual time (dispatch threads nudge the
-// clock through Clock::sleep_for instead of sleeping for real), so a
-// scenario spanning a virtual minute completes in milliseconds of wall
-// time. After the plan plays out the scenario quiesces and the global
-// invariants (invariants.hpp) are checked: zero lost or double-executed
-// shots, exactly one terminal state per job, no cancel resurrections, a
-// balanced ledger, drained reservations, an empty queue and bounded
-// records under GC.
+// probe backoff, rate-limiter refill, ledger decay, execution latency —
+// runs in virtual time (a dispatch lane waiting out an emulator's modelled
+// latency nudges the clock through Clock::sleep_for by exactly that
+// latency instead of sleeping for real), so a scenario spanning a virtual
+// minute completes in milliseconds of wall time. After the plan plays out
+// the scenario quiesces and the global invariants (invariants.hpp) are
+// checked: zero lost or double-executed shots, exactly one terminal state
+// per job, no cancel resurrections, a balanced ledger, drained
+// reservations, an empty queue and bounded records under GC.
 //
 // Determinism note, honestly: the fault schedule, workload and every
 // scheduling *decision* (ordering, backoff, decay, limits) are exact

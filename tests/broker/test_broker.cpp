@@ -288,6 +288,11 @@ TEST(BrokerDispatchTest, FailoverCompletesJobOnSurvivorWithAllShots) {
   auto broker = std::make_shared<ResourceBroker>(options, &clock, nullptr);
   auto doomed = qrmi::LocalEmulatorQrmi::create("doomed", "sv").value();
   auto survivor = qrmi::LocalEmulatorQrmi::create("survivor", "sv").value();
+  // Each batch takes 5 ms on the doomed resource, so the 20-batch job is
+  // still mid-flight when the loop below sees its first shots done.
+  qrmi::EmulatorFaultHooks slow;
+  slow.latency = [](std::uint64_t) { return 5 * common::kMillisecond; };
+  doomed->set_fault_hooks(std::move(slow), &clock);
   ASSERT_TRUE(broker->add("doomed", doomed).ok());
   ASSERT_TRUE(broker->add("survivor", survivor).ok());
   daemon::QueuePolicy queue_policy;

@@ -459,6 +459,30 @@ TEST_F(DaemonFixture, TraceEndpointShowsWellNestedTimeline) {
   }
 }
 
+TEST_F(DaemonFixture, EmulatorLaneWaitsForCompletionWithOneCheck) {
+  // The emulator signals completion, so the lane makes one wait per batch
+  // instead of polling task_status on kRunPoll.
+  const std::string token = open_session("erin", "test");
+  net::HttpClient authed(client_->port());
+  authed.set_default_header("X-Session-Token", token);
+  Json body = Json::object();
+  body["payload"] = small_payload(30).to_json();
+  auto submitted = authed.post("/v1/jobs", body.dump());
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_EQ(submitted.value().status, 201) << submitted.value().body;
+  const auto job_id = static_cast<std::uint64_t>(
+      Json::parse(submitted.value().body).value().get_int("job_id").value());
+  ASSERT_TRUE(daemon_->dispatcher().wait(job_id).ok());
+
+  auto trace = daemon_->dispatcher().trace(job_id);
+  ASSERT_TRUE(trace.ok());
+  std::vector<std::string> polls;
+  for (const auto& span : trace.value().spans) {
+    if (span.stage == "qrmi_poll") polls.push_back(span.detail);
+  }
+  EXPECT_EQ(polls, std::vector<std::string>{"polls=1"});
+}
+
 TEST_F(DaemonFixture, TraceEndpointMaterializesQueuedJobsMidFlight) {
   // Park the lanes so the job stays queued: its deferred trace must still
   // be readable (materialized on demand by the read itself).

@@ -1,5 +1,7 @@
 // Calibration drift, QPU device pacing/cancellation, controller queue.
+#include <chrono>
 #include <numbers>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -197,16 +199,25 @@ TEST(QpuControllerTest, StatusTransitions) {
 }
 
 TEST(QpuControllerTest, CancelQueuedTask) {
-  ManualClock clock;
+  // Time stands still until the test advances it, so the first task holds
+  // the device and the victim is still queued when it is cancelled.
+  ManualClock clock(0, /*auto_advance=*/false);
   QpuDevice device(fast_options(), &clock);
   QpuController controller(&device, &clock);
-  // Saturate with one long task, then queue a victim.
   const auto running = controller.submit(small_payload(50));
   const auto victim = controller.submit(small_payload(50));
-  ASSERT_TRUE(controller.cancel(victim).ok());
-  auto result = controller.wait(victim);
-  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(controller.cancel(victim).ok());
+  const auto state = controller.wait_terminal(victim);
+  EXPECT_EQ(state.value(), TaskState::kCancelled);
+  auto result = controller.result(victim);
+  EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), common::ErrorCode::kCancelled);
+  // No fatal assertion above: the controller cannot be destroyed while
+  // its worker sleeps on the stopped clock.
+  while (controller.status(running).value() != TaskState::kDone) {
+    clock.advance(common::kSecond);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_TRUE(controller.wait(running).ok());
 }
 

@@ -2,6 +2,10 @@
 // client against a live CloudService.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "cloud/cloud_service.hpp"
 #include "qrmi/cloud_client.hpp"
 #include "qrmi/direct_qpu.hpp"
@@ -37,8 +41,122 @@ TEST(LocalEmulatorQrmiTest, FullTaskLifecycle) {
   auto samples = qrmi.task_result(task.value());  // waits for completion
   ASSERT_TRUE(samples.ok());
   EXPECT_EQ(samples.value().total_shots(), 50u);
-  EXPECT_EQ(qrmi.task_status(task.value()).value(), TaskStatus::kCompleted);
+  // A fetched task is forgotten.
+  auto status = qrmi.task_status(task.value());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code(), common::ErrorCode::kNotFound);
+  auto again = qrmi.task_result(task.value());
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().code(), common::ErrorCode::kNotFound);
   EXPECT_TRUE(qrmi.release(token.value()).ok());
+}
+
+TEST(LocalEmulatorQrmiTest, UnfetchedTaskStaysQueryable) {
+  auto resource = LocalEmulatorQrmi::create("emu", "sv");
+  ASSERT_TRUE(resource.ok());
+  Qrmi& qrmi = *resource.value();
+  auto task = qrmi.task_start(small_payload());
+  ASSERT_TRUE(task.ok());
+  auto waited = qrmi.task_wait(task.value(), common::kMillisecond, nullptr,
+                               nullptr);
+  ASSERT_TRUE(waited.ok());
+  EXPECT_EQ(waited.value(), TaskStatus::kCompleted);
+  EXPECT_EQ(qrmi.task_status(task.value()).value(), TaskStatus::kCompleted);
+  EXPECT_EQ(qrmi.task_status(task.value()).value(), TaskStatus::kCompleted);
+  auto samples = qrmi.task_result(task.value());
+  ASSERT_TRUE(samples.ok());
+  EXPECT_EQ(samples.value().total_shots(), 50u);
+}
+
+TEST(LocalEmulatorQrmiTest, RunSyncWaitsWithOneCheck) {
+  auto resource = LocalEmulatorQrmi::create("emu", "sv");
+  ASSERT_TRUE(resource.ok());
+  Qrmi::RunStats stats;
+  auto samples = resource.value()->run_sync(
+      small_payload(40), common::kMillisecond, nullptr, &stats);
+  ASSERT_TRUE(samples.ok());
+  EXPECT_EQ(samples.value().total_shots(), 40u);
+  EXPECT_EQ(stats.polls, 1u);
+  EXPECT_LE(stats.poll_start, stats.poll_end);
+  EXPECT_LE(stats.poll_end, stats.result_end);
+}
+
+TEST(LocalEmulatorQrmiTest, WaitHoldsTheVirtualCompletionGate) {
+  constexpr common::DurationNs kLatency = 5 * common::kMillisecond;
+  common::ManualClock clock(0, /*auto_advance=*/false);
+  auto resource = LocalEmulatorQrmi::create("emu", "sv");
+  ASSERT_TRUE(resource.ok());
+  EmulatorFaultHooks hooks;
+  hooks.latency = [](std::uint64_t) { return kLatency; };
+  resource.value()->set_fault_hooks(std::move(hooks), &clock);
+  auto task = resource.value()->task_start(small_payload());
+  ASSERT_TRUE(task.ok());
+
+  std::atomic<bool> returned{false};
+  common::Result<TaskStatus> waited = TaskStatus::kQueued;
+  std::thread waiter([&] {
+    waited = resource.value()->task_wait(task.value(), common::kMillisecond,
+                                         &clock, nullptr);
+    returned.store(true);
+  });
+  // Ample real time for the emulator job; only virtual time is missing.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load());
+  clock.advance(kLatency - 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  EXPECT_EQ(resource.value()->task_status(task.value()).value(),
+            TaskStatus::kRunning);
+  clock.advance(1);
+  waiter.join();
+  ASSERT_TRUE(waited.ok());
+  EXPECT_EQ(waited.value(), TaskStatus::kCompleted);
+  EXPECT_EQ(clock.now(), kLatency);
+}
+
+TEST(LocalEmulatorQrmiTest, WaitAdvancesVirtualTimeByTheModelledLatency) {
+  constexpr common::TimeNs kStart = 3 * common::kSecond;
+  constexpr common::DurationNs kLatency = 7'300 * common::kMicrosecond;
+  common::ManualClock clock(kStart);  // auto-advancing
+  auto resource = LocalEmulatorQrmi::create("emu", "sv");
+  ASSERT_TRUE(resource.ok());
+  EmulatorFaultHooks hooks;
+  hooks.latency = [](std::uint64_t) { return kLatency; };
+  resource.value()->set_fault_hooks(std::move(hooks), &clock);
+  Qrmi::RunStats stats;
+  auto samples = resource.value()->run_sync(
+      small_payload(), common::kMillisecond, &clock, &stats);
+  ASSERT_TRUE(samples.ok());
+  // Polling would have moved the clock in whole 1 ms steps past the gate.
+  EXPECT_EQ(clock.now(), kStart + kLatency);
+  EXPECT_EQ(stats.poll_end - stats.poll_start, kLatency);
+  EXPECT_EQ(stats.polls, 1u);
+}
+
+TEST(LocalEmulatorQrmiTest, WaitReportsFailureAndUnknownTasks) {
+  auto resource = LocalEmulatorQrmi::create("emu", "sv");
+  ASSERT_TRUE(resource.ok());
+  Qrmi& qrmi = *resource.value();
+  // 30 atoms exceed the dense state-vector limit: the backend fails.
+  Sequence seq(AtomRegister::linear_chain(30, 6.0));
+  seq.add_pulse(quantum::Pulse{Waveform::constant(200, 2.0),
+                               Waveform::constant(200, 0.0), 0.0});
+  auto task = qrmi.task_start(Payload::from_sequence(seq, 10));
+  ASSERT_TRUE(task.ok());
+  auto waited =
+      qrmi.task_wait(task.value(), common::kMillisecond, nullptr, nullptr);
+  ASSERT_TRUE(waited.ok());
+  EXPECT_EQ(waited.value(), TaskStatus::kFailed);
+  auto failed = qrmi.task_result(task.value());
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.error().code(), common::ErrorCode::kResourceExhausted);
+
+  std::uint64_t polls = 0;
+  auto unknown =
+      qrmi.task_wait("local-999", common::kMillisecond, nullptr, &polls);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.error().code(), common::ErrorCode::kNotFound);
+  EXPECT_EQ(polls, 1u);
 }
 
 TEST(LocalEmulatorQrmiTest, RunSyncConvenience) {
@@ -93,13 +211,99 @@ TEST(DirectQpuQrmiTest, ExecutesThroughController) {
   qpu::QpuController controller(&device, &clock);
   DirectQpuQrmi qrmi("fresnel", &device, &controller);
 
-  auto samples = qrmi.run_sync(small_payload(20), common::kMillisecond);
+  Qrmi::RunStats stats;
+  auto samples =
+      qrmi.run_sync(small_payload(20), common::kMillisecond, &clock, &stats);
   ASSERT_TRUE(samples.ok()) << samples.error().to_string();
   EXPECT_EQ(samples.value().total_shots(), 20u);
+  EXPECT_EQ(stats.polls, 1u);  // one wait on the controller, no polling
   auto spec = qrmi.target();
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec.value().name, "sim-analog");
   EXPECT_FALSE(qrmi.task_status("not-a-number").ok());
+}
+
+TEST(DirectQpuQrmiTest, WaitBlocksOnTheController) {
+  common::ManualClock clock;
+  qpu::QpuOptions options;
+  options.time_scale = 1e9;
+  qpu::QpuDevice device(options, &clock);
+  qpu::QpuController controller(&device, &clock);
+  DirectQpuQrmi qrmi("fresnel", &device, &controller);
+
+  auto task = qrmi.task_start(small_payload(20));
+  ASSERT_TRUE(task.ok());
+  std::uint64_t polls = 0;
+  auto waited = qrmi.task_wait(task.value(), common::kMillisecond, nullptr,
+                               &polls);
+  ASSERT_TRUE(waited.ok());
+  EXPECT_EQ(waited.value(), TaskStatus::kCompleted);
+  EXPECT_EQ(polls, 1u);
+  EXPECT_EQ(qrmi.task_result(task.value()).value().total_shots(), 20u);
+  EXPECT_FALSE(
+      qrmi.task_wait("not-a-number", common::kMillisecond, nullptr, nullptr)
+          .ok());
+  auto unknown = qrmi.task_wait("424242", common::kMillisecond, nullptr,
+                                nullptr);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.error().code(), common::ErrorCode::kNotFound);
+}
+
+/// A resource that cannot signal completion: it reports kRunning for a
+/// fixed number of status checks, then kCompleted.
+class PolledQrmi final : public Qrmi {
+ public:
+  explicit PolledQrmi(std::uint64_t running_checks)
+      : running_checks_(running_checks) {}
+
+  std::string resource_id() const override { return "polled"; }
+  ResourceType type() const override { return ResourceType::kCloudQpu; }
+  common::Result<bool> is_accessible() override { return true; }
+  common::Result<std::string> acquire() override { return std::string("t"); }
+  common::Status release(const std::string&) override {
+    return common::Status::ok_status();
+  }
+  common::Result<std::string> task_start(const Payload& payload) override {
+    shots_ = payload.shots();
+    return std::string("task-1");
+  }
+  common::Result<TaskStatus> task_status(const std::string&) override {
+    ++checks_;
+    return checks_ > running_checks_ ? TaskStatus::kCompleted
+                                     : TaskStatus::kRunning;
+  }
+  common::Result<quantum::Samples> task_result(const std::string&) override {
+    quantum::Samples samples(2);
+    samples.record("00", shots_);
+    return samples;
+  }
+  common::Status task_stop(const std::string&) override {
+    return common::Status::ok_status();
+  }
+  common::Result<quantum::DeviceSpec> target() override {
+    return quantum::DeviceSpec::analog_default();
+  }
+  common::Json metadata() override { return common::Json::object(); }
+
+  std::uint64_t checks() const { return checks_; }
+
+ private:
+  std::uint64_t running_checks_;
+  std::uint64_t checks_ = 0;
+  std::uint64_t shots_ = 0;
+};
+
+TEST(QrmiDefaultWaitTest, PollsUntilTerminal) {
+  PolledQrmi qrmi(3);
+  common::ManualClock clock(0);  // auto-advancing: paced, no real sleep
+  Qrmi::RunStats stats;
+  auto samples =
+      qrmi.run_sync(small_payload(12), common::kMillisecond, &clock, &stats);
+  ASSERT_TRUE(samples.ok());
+  EXPECT_EQ(samples.value().total_shots(), 12u);
+  EXPECT_EQ(stats.polls, 4u);
+  EXPECT_EQ(qrmi.checks(), 4u);
+  EXPECT_EQ(clock.now(), 3 * common::kMillisecond);
 }
 
 TEST(RegistryTest, LookupAndNames) {

@@ -47,16 +47,20 @@ TEST_F(QrmiCApi, FullLifecycle) {
   ASSERT_EQ(qrmi_task_start(handle, payload.c_str(), &task_id), QRMI_OK);
   ASSERT_NE(task_id, nullptr);
 
+  int status = -1;
+  do {
+    ASSERT_EQ(qrmi_task_status(handle, task_id, &status), QRMI_OK);
+  } while (status == QRMI_TASK_QUEUED || status == QRMI_TASK_RUNNING);
+  EXPECT_EQ(status, QRMI_TASK_COMPLETED);
+
   char* samples_json = nullptr;
   ASSERT_EQ(qrmi_task_result(handle, task_id, &samples_json), QRMI_OK);
   auto samples = quantum::Samples::from_json(
       common::Json::parse(samples_json).value());
   ASSERT_TRUE(samples.ok());
   EXPECT_EQ(samples.value().total_shots(), 25u);
-
-  int status = -1;
-  EXPECT_EQ(qrmi_task_status(handle, task_id, &status), QRMI_OK);
-  EXPECT_EQ(status, QRMI_TASK_COMPLETED);
+  // The emulator forgets a task once its result is fetched.
+  EXPECT_EQ(qrmi_task_status(handle, task_id, &status), QRMI_ERR_NOT_FOUND);
 
   char* spec_json = nullptr;
   ASSERT_EQ(qrmi_target(handle, &spec_json), QRMI_OK);

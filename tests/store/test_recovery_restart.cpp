@@ -15,6 +15,7 @@
 #include "daemon/daemon.hpp"
 #include "net/http_client.hpp"
 #include "qrmi/local_emulator.hpp"
+#include "store/state_store.hpp"
 
 namespace qcenv::daemon {
 namespace {
@@ -226,6 +227,45 @@ TEST_F(RecoveryRestartTest, CompactionSurvivesRestart) {
       quantum::Samples::from_json(Json::parse(result.value().body).value());
   ASSERT_TRUE(samples.ok());
   EXPECT_EQ(samples.value().total_shots(), 50u);
+}
+
+TEST_F(RecoveryRestartTest, UnplacingARecoveredJobIsJournaled) {
+  // A queued job whose resource is down at restart is unplaced in memory.
+  // The journal must record that too: otherwise a compaction snapshot of
+  // memory and a replay of the journal alone (a standby's mirror) disagree
+  // on where the job lives.
+  auto resource = qrmi::LocalEmulatorQrmi::create("emu", "sv").value();
+  DaemonOptions options;
+  options.store.data_dir = dir_.path();
+  const auto daemon_on = [&] {
+    return std::make_unique<MiddlewareDaemon>(options, resource, nullptr,
+                                              &clock_);
+  };
+  std::uint64_t job_id = 0;
+  {
+    auto daemon = daemon_on();
+    daemon->dispatcher().drain();
+    auto session = daemon->open_session("carol", JobClass::kTest);
+    ASSERT_TRUE(session.ok());
+    auto submitted =
+        daemon->submit_job(session.value().token, small_payload(20));
+    ASSERT_TRUE(submitted.ok());
+    job_id = submitted.value().id;
+    EXPECT_EQ(daemon->dispatcher().query(job_id).value().resource, "emu");
+  }
+  resource->set_offline(true);
+  {
+    auto daemon = daemon_on();
+    daemon->dispatcher().drain();
+    EXPECT_EQ(daemon->dispatcher().query(job_id).value().resource, "");
+  }
+  // Replay the data dir alone (no lanes that could claim the job).
+  store::StateStore replay(options.store, &clock_, nullptr);
+  auto recovered = replay.open();
+  ASSERT_TRUE(recovered.ok());
+  ASSERT_EQ(recovered.value().jobs.size(), 1u);
+  EXPECT_EQ(recovered.value().jobs[0].id, job_id);
+  EXPECT_EQ(recovered.value().jobs[0].resource, "");
 }
 
 TEST(StoreDisabledTest, DaemonWithoutDataDirReportsDisabled) {
