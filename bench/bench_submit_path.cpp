@@ -5,16 +5,15 @@
 // group-commit drain — the path this overhaul rebuilt.
 //
 // Three configurations run back to back on the same machine:
-//   pre-PR   submit_shards=1 + JSON v1 journal: the layout before the
-//            sharding + binary-WAL overhaul
-//   sharded  submit_shards=8 + binary v2 journal: the production default
-//   traced   the sharded config with job tracing + stage histograms on —
-//            every submit opens a trace and records admission/
-//            journal_append spans, exactly the daemon's default
+//   unsharded  submit_shards=1: one submit queue, one lock
+//   sharded    submit_shards=8: the production default
+//   traced     the sharded config with job tracing + stage histograms on —
+//              every submit opens a trace and records admission/
+//              journal_append spans, exactly the daemon's default
 // Each run's clock stops only after StateStore::flush() returns, so the
 // throughput is SUSTAINED durable submissions per second — a journal
 // writer that cannot drain what the submit path enqueues is charged for
-// its backlog. The sharded/pre-PR throughput ratio ("speedup") is the
+// its backlog. The sharded/unsharded throughput ratio ("speedup") is the
 // recorded, hardware-normalized figure: raw submits/s vary per machine,
 // the ratio collapses toward 1.0 the moment the hot path re-serializes.
 // The traced/sharded ratio ("trace_overhead") gates the observability
@@ -27,9 +26,9 @@
 //                      [--trace-tolerance FRAC]]
 //
 // --replicate runs a hot-standby journal-shipping replicator concurrently
-// with every v2-journal measurement (pulling WAL segments off the live
-// store dir into a mirror) — the gate then proves replication rides the
-// hot path for free.
+// with every measurement (pulling WAL segments off the live store dir
+// into a mirror) — the gate then proves replication rides the hot path
+// for free.
 //
 // --out writes the measured numbers as JSON (the committed baseline at
 // the repo root is BENCH_submit.json). --check loads a baseline and FAILS
@@ -76,7 +75,6 @@ Payload tiny_payload(std::uint64_t shots) {
 struct Config {
   const char* name;
   std::size_t shards;
-  store::JournalFormat format;
   /// Production-default tracing: a TraceStore + stage histograms behind
   /// the dispatcher, and a trace begun per submission.
   bool traced = false;
@@ -102,7 +100,6 @@ RunResult run_config_once(const Config& config, std::size_t tenants,
   common::WallClock clock;
   store::StoreOptions store_options;
   store_options.data_dir = dir.path();
-  store_options.journal.format = config.format;
   store_options.compact_every_events = 0;  // no compaction mid-measurement
   store::StateStore store(store_options, &clock, nullptr);
   (void)store.open();
@@ -126,15 +123,14 @@ RunResult run_config_once(const Config& config, std::size_t tenants,
   // this harness measures the submit->journal->fsync path alone.
   dispatcher.drain();
 
-  // Hot-standby shipping alongside the measurement (v2 journals only —
-  // the shipping protocol doesn't speak v1): a replicator thread pulls
-  // WAL segments off the live store dir into a mirror for the whole run,
-  // so the measured throughput pays whatever contention replication
+  // Hot-standby shipping alongside the measurement: a replicator thread
+  // pulls WAL segments off the live store dir into a mirror for the whole
+  // run, so the measured throughput pays whatever contention replication
   // actually costs the hot path.
   std::unique_ptr<common::TempDir> standby_dir;
   std::atomic<bool> stop_replication{false};
   std::thread shipper;
-  if (replicate && config.format == store::JournalFormat::kBinaryV2) {
+  if (replicate) {
     standby_dir = std::make_unique<common::TempDir>("qcenv-bench-standby-");
     shipper = std::thread([&] {
       federation::FileReplicationSource source(dir.path());
@@ -239,7 +235,6 @@ RunResult run_config(const Config& config, std::size_t tenants,
 Json to_json(const Config& config, const RunResult& result) {
   Json out = Json::object();
   out["shards"] = static_cast<long long>(config.shards);
-  out["journal_format"] = std::string(store::to_string(config.format));
   out["traced"] = config.traced;
   out["submits_per_sec"] = result.submits_per_sec;
   out["p50_ms"] = result.p50_ms;
@@ -304,22 +299,19 @@ int main(int argc, char** argv) {
   // whose per-run variance (fsync scheduling) exceeds the 5% tolerance,
   // so best-of-N is what makes the ratio trustworthy.
   const std::size_t reps = quick ? 3 : 4;
-  const Config pre_pr{"pre-PR (1 shard, json-v1)", 1,
-                      store::JournalFormat::kJsonV1};
-  const Config sharded{"sharded (8 shards, binary-v2)", 8,
-                       store::JournalFormat::kBinaryV2};
-  const Config traced{"sharded + tracing on", 8,
-                      store::JournalFormat::kBinaryV2, /*traced=*/true};
+  const Config unsharded{"unsharded (1 shard)", 1};
+  const Config sharded{"sharded (8 shards)", 8};
+  const Config traced{"sharded + tracing on", 8, /*traced=*/true};
 
   print_title("submit-path | " + std::to_string(tenants) +
               " concurrent tenants, " + std::to_string(jobs_per_tenant) +
               " submits each, durable (submit + group-commit drain)" +
               (replicate ? ", journal shipping ON" : ""));
 
-  // Pre-PR first so the overhauled run cannot ride a warmed allocator
+  // Unsharded first so the sharded run cannot ride a warmed allocator
   // into an inflated ratio; each config gets its own store directory.
   const RunResult before =
-      run_config(pre_pr, tenants, jobs_per_tenant, reps, replicate);
+      run_config(unsharded, tenants, jobs_per_tenant, reps, replicate);
   const RunResult after =
       run_config(sharded, tenants, jobs_per_tenant, reps, replicate);
   const RunResult with_tracing =
@@ -335,7 +327,7 @@ int main(int argc, char** argv) {
           : 0.0;
 
   Table table({"config", "submits/s", "p50", "p99"});
-  table.add_row({pre_pr.name, fmt("%.0f", before.submits_per_sec),
+  table.add_row({unsharded.name, fmt("%.0f", before.submits_per_sec),
                  fmt("%.3f ms", before.p50_ms),
                  fmt("%.3f ms", before.p99_ms)});
   table.add_row({sharded.name, fmt("%.0f", after.submits_per_sec),
@@ -344,7 +336,7 @@ int main(int argc, char** argv) {
                  fmt("%.3f ms", with_tracing.p50_ms),
                  fmt("%.3f ms", with_tracing.p99_ms)});
   table.print();
-  print_note("\nspeedup (sharded binary WAL vs pre-PR path): " +
+  print_note("\nspeedup (sharded vs unsharded): " +
              fmt("%.2f", speedup) + "x");
   print_note("tracing-on/off throughput ratio: " +
              fmt("%.3f", trace_overhead));
@@ -353,7 +345,7 @@ int main(int argc, char** argv) {
   report["bench"] = std::string("bench_submit_path");
   report["tenants"] = static_cast<long long>(tenants);
   report["jobs_per_tenant"] = static_cast<long long>(jobs_per_tenant);
-  report["pre_pr"] = to_json(pre_pr, before);
+  report["unsharded"] = to_json(unsharded, before);
   report["sharded"] = to_json(sharded, after);
   report["traced"] = to_json(traced, with_tracing);
   report["speedup"] = speedup;
@@ -398,7 +390,7 @@ int main(int argc, char** argv) {
                "x");
     if (speedup < floor) {
       std::fprintf(stderr,
-                   "PERF REGRESSION: sharded/pre-PR speedup %.2fx "
+                   "PERF REGRESSION: sharded/unsharded speedup %.2fx "
                    "fell below %.2fx (baseline %.2fx - %.0f%%)\n",
                    speedup, floor, recorded, tolerance * 100.0);
       return 1;

@@ -1099,7 +1099,7 @@ void Dispatcher::restore(const std::vector<store::JobRecord>& jobs,
     record.job.submit_time = recovered.submit_time;
     record.job.first_dispatch_time = recovered.first_dispatch_time;
     record.job.finish_time = recovered.finish_time;
-    record.job.resource = recovered.resource;  // "" for requeued jobs
+    record.job.resource = recovered.resource;  // settled below if queued
     record.job.error = recovered.error;
     record.cancel_requested = recovered.cancel_requested;
     record.pinned = recovered.pinned;
@@ -1148,15 +1148,21 @@ void Dispatcher::restore(const std::vector<store::JobRecord>& jobs,
     }
     if (record.job.state == DaemonJobState::kQueued) {
       if (!record.job.resource.empty()) {
-        // A recovered pin: re-bind through the broker so load accounting
-        // and health checks hold; if the resource is gone or unusable,
-        // unplace — the same treatment live failover gives a dead pin,
-        // journaled like it: a compaction snapshot taken from memory and a
-        // replay of the journal alone (a standby's mirror) must agree.
-        auto bound = broker_->pick({.policy = record.policy_hint,
-                                    .resource_hint = record.job.resource,
-                                    .exclude = {}});
-        std::string placed = bound.ok() ? std::move(bound).value() : "";
+        // Placement is an in-memory fleet decision: an unpinned job is
+        // unplaced and re-placed on this (possibly different) fleet. A
+        // pin is the user's choice: re-bind it through the broker so load
+        // accounting and health checks hold, or unplace it if the
+        // resource is gone or unusable — the treatment live failover
+        // gives a dead pin. Either change is journaled: a compaction
+        // snapshot taken from memory and a replay of the journal alone
+        // (a standby's mirror) must agree.
+        std::string placed;
+        if (record.pinned) {
+          auto bound = broker_->pick({.policy = record.policy_hint,
+                                      .resource_hint = record.job.resource,
+                                      .exclude = {}});
+          if (bound.ok()) placed = std::move(bound).value();
+        }
         if (placed != record.job.resource) {
           record.job.resource = std::move(placed);
           if (store_ != nullptr) {

@@ -184,8 +184,9 @@ class Dispatcher {
   /// Re-installs jobs recovered from the durable store (must run before
   /// any new submission): terminal jobs re-serve their stored samples,
   /// non-terminal jobs re-enter the queue with exactly their un-executed
-  /// shots. `next_job_id` floors the id allocator so recovered ids are
-  /// never reused.
+  /// shots; unpinned ones are unplaced and pinned ones re-bound, and
+  /// either change is journaled. `next_job_id` floors the id allocator so
+  /// recovered ids are never reused.
   void restore(const std::vector<store::JobRecord>& jobs,
                std::uint64_t next_job_id);
 

@@ -172,8 +172,8 @@ FaultPlan make_fault_plan(common::Rng& rng,
   }
   for (std::size_t i = 0; i < options.compact_crashes; ++i) {
     // param picks WHICH atomic rewrite of the compaction dies: 0 is the
-    // snapshot, 1 the journal rewrite (mid-migration when formats
-    // differ). The guaranteed restart checks the pre-crash image.
+    // snapshot, 1 the journal rewrite. The guaranteed restart checks the
+    // pre-crash image.
     const DurationNs when = at(0.25, 0.7);
     plan.events.push_back(
         {when, FaultOp::kCompactCrash, 0,

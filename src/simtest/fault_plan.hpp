@@ -31,9 +31,8 @@ enum class FaultOp {
                      // the disk is dead (the classic crash-mid-append)
   kCompact,          // force a snapshot + journal-truncation cycle
   kCompactCrash,     // a compaction whose `param`-th atomic rewrite dies
-                     // (0 = the snapshot, 1 = the journal rewrite — the
-                     // mid-migration crash when the journal is migrating
-                     // formats); a kKillRestart always follows
+                     // (0 = the snapshot, 1 = the journal rewrite); a
+                     // kKillRestart always follows
   kSubmitStorm,      // target user bursts `param` submissions at once
   kCalibrationDrift,  // target resource's calibration starts degrading as
                       // a pure function of virtual time (`param` = drift
@@ -87,9 +86,8 @@ struct FaultPlanOptions {
   bool disk_fault = false;      // one fail-stop OR torn tail + restart
   std::size_t compactions = 1;
   /// Compactions that die on one of their atomic rewrites (snapshot or
-  /// journal — the latter is the mid-format-migration crash). Each is
-  /// followed by a kKillRestart: the next life must find the pre-crash
-  /// journal intact and replay it identically.
+  /// journal). Each is followed by a kKillRestart: the next life must find
+  /// the pre-crash journal intact and replay it identically.
   std::size_t compact_crashes = 0;
   std::size_t storms = 1;
   /// Probability that any one task_start transiently fails with an I/O

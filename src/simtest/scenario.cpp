@@ -500,8 +500,7 @@ class SimWorld {
         break;
       case FaultOp::kCompactCrash:
         // One atomic rewrite of this compaction dies (param 0 = the
-        // snapshot, 1 = the journal rewrite — mid-migration when the
-        // journal is re-encoding formats). The compaction aborts, the
+        // snapshot, 1 = the journal rewrite). The compaction aborts, the
         // journal keeps appending, and the plan's guaranteed restart
         // must find the original file intact and replay it.
         if (daemon_->state_store() != nullptr && journal_healthy()) {
@@ -1151,8 +1150,9 @@ class SimWorld {
     }
     check_mirror_equivalence(dead_dir, "leader kill");
     const std::uint64_t epoch_before = standby_->epoch();
+    // Outlives both promote() calls below: the hook stays installed.
+    bool crashed = false;
     if (crash_mid_promotion) {
-      bool crashed = false;
       standby_->set_promotion_crash_hook(
           [&crashed]() -> common::Status {
             if (crashed) return common::Status::ok_status();
@@ -1261,12 +1261,6 @@ class SimWorld {
       options.store.journal.sync = store::SyncMode::kAlways;
       // Compaction is a scheduled fault event, not a background race.
       options.store.compact_every_events = 0;
-      // First life of a migration scenario writes the legacy JSON-lines
-      // format; every later life runs with the v2 default and must read,
-      // append to, and (on kCompact) transparently migrate the v1 file.
-      if (options_.journal_v1_start && lives_ == 0) {
-        options.store.journal.format = store::JournalFormat::kJsonV1;
-      }
     }
     if (options_.gc) options.store.terminal_job_cap = kGcCap;
     // Wide start-window slack for the in-scenario estimates (crash
@@ -1491,11 +1485,11 @@ ScenarioOptions scenario_for_seed(std::uint64_t seed, bool quick) {
   // every invariant is exercised against every topology.
   options.submit_shards = std::size_t{1}
                           << static_cast<std::size_t>(rng.uniform_int(0, 3));
-  // Format-migration lives: start on a v1 journal, restart into v2, and
-  // guarantee at least one compaction so the migration actually runs;
-  // sometimes crash a compaction mid-rewrite.
-  options.journal_v1_start = options.durable && rng.bernoulli(0.35);
-  if (options.journal_v1_start) {
+  // Compaction-then-restart lives: at least one compaction and one
+  // restart, so replay runs over a rewritten journal. (This draw once
+  // chose a first life on the retired JSON-lines journal; it stays so
+  // every later derivation, and so every seed's fault plan, is unchanged.)
+  if (options.durable && rng.bernoulli(0.35)) {
     options.faults.compactions = std::max<std::size_t>(
         options.faults.compactions, 1);
     options.faults.restarts = std::max<std::size_t>(
@@ -1519,9 +1513,6 @@ ScenarioOptions scenario_for_seed(std::uint64_t seed, bool quick) {
   // with fenced promotion.
   options.federation = options.durable && rng.bernoulli(0.4);
   if (options.federation) {
-    // The shipping protocol is v2-only; format-migration seeds run
-    // unfederated (the forced compactions/restarts drawn above remain).
-    options.journal_v1_start = false;
     options.faults.peer_partitions = rng.bernoulli(0.5) ? 1 : 0;
     options.faults.torn_segments = rng.bernoulli(0.5) ? 1 : 0;
     options.faults.leader_kills = rng.bernoulli(0.5) ? 1 : 0;

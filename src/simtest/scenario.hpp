@@ -59,12 +59,6 @@ struct ScenarioOptions {
   /// sweep varies this per seed (1/2/4/8) so the invariants are checked
   /// against every shard topology, including the unsharded one.
   std::size_t submit_shards = 0;
-  /// The FIRST daemon life writes a v1 (JSON-lines) journal; every
-  /// restart reopens it with the v2 default, exercising the live
-  /// migration path: v1 replay, v1 torn tails, appends into a v1 file
-  /// from a v2-configured daemon, and kCompact's transparent rewrite to
-  /// v2 (kCompactCrash can kill that rewrite mid-migration).
-  bool journal_v1_start = false;
   FaultPlanOptions faults;
   /// Deliberate bug plant: the emulator silently drops a slice of every
   /// result. Exists solely to prove the sweep catches invariant

@@ -103,7 +103,6 @@ SweepOutcome run_sweep(const SweepOptions& options, std::ostream& log) {
       // The HA slice: every seed runs durable + federated and loses its
       // leader at least once, on top of whatever it drew organically.
       scenario.durable = true;
-      scenario.journal_v1_start = false;
       scenario.federation = true;
       scenario.faults.leader_kills =
           std::max<std::size_t>(scenario.faults.leader_kills, 1);

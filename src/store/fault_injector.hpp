@@ -106,9 +106,9 @@ class CountingFaultInjector final : public FaultInjector {
   }
   /// Exactly ONE atomic rewrite fails: the `skip`-th one from now (0 =
   /// the very next write_file_atomic). Disarms after firing. This is the
-  /// mid-migration crash model: a compaction that is re-encoding a v1
-  /// journal into v2 dies on the rewrite, the rename never happens, and
-  /// the next life must find the ORIGINAL file intact.
+  /// mid-compaction crash model: a compaction dies on its snapshot or
+  /// journal rewrite, the rename never happens, and the next life must
+  /// find the ORIGINAL file intact.
   void fail_one_atomic_write_after(std::uint64_t skip) {
     std::scoped_lock lock(mutex_);
     atomic_fail_at_ = atomic_writes_ + skip;

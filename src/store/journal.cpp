@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -27,11 +26,10 @@ using common::Status;
 
 namespace {
 
-/// v2 segment header. The 8 bytes can never begin a v1 file (those start
-/// with '{'), so format detection is one byte of lookahead.
+/// Segment header: every journal file starts with these 8 bytes.
 constexpr char kMagicV2[8] = {'Q', 'C', 'W', 'A', 'L', '2', '\n', '\0'};
 constexpr std::size_t kMagicLen = sizeof(kMagicV2);
-/// v2 frame header: u32 payload length + u32 CRC32C of the payload.
+/// Frame header: u32 payload length + u32 CRC32C of the payload.
 constexpr std::size_t kFrameHeaderLen = 8;
 /// Fixed payload prelude: u64 seq + u64 time + u32 type length.
 constexpr std::size_t kFramePreludeLen = 20;
@@ -66,29 +64,9 @@ std::uint64_t get_le64(const char* p) {
          (static_cast<std::uint64_t>(get_le32(p + 4)) << 32);
 }
 
-/// One v1 journal line. `type` is a controlled identifier and `data_dump`
-/// is already-serialized JSON, so the line can be assembled without
-/// another Json tree — this is the submit hot path.
-std::string encode_line(std::uint64_t seq, common::TimeNs time,
-                        const std::string& type,
-                        const std::string& data_dump) {
-  std::string line;
-  line.reserve(48 + type.size() + data_dump.size());
-  line += "{\"seq\":";
-  line += std::to_string(seq);
-  line += ",\"t\":";
-  line += std::to_string(time);
-  line += ",\"e\":\"";
-  line += type;
-  line += "\",\"d\":";
-  line += data_dump;
-  line += "}\n";
-  return line;
-}
-
-/// One v2 frame, appended to `out`. Cheaper than encode_line on the hot
-/// path: the metadata fields are fixed-width stores instead of decimal
-/// formatting, and replay gets them back without a JSON parse.
+/// One frame, appended to `out`: the metadata fields are fixed-width
+/// stores instead of decimal formatting, and replay gets them back
+/// without a JSON parse.
 void encode_frame(std::string& out, std::uint64_t seq, common::TimeNs time,
                   const std::string& type, const std::string& data_dump) {
   const std::size_t payload_len =
@@ -111,15 +89,71 @@ void encode_frame(std::string& out, std::uint64_t seq, common::TimeNs time,
   out[crc_at + 3] = static_cast<char>((crc >> 24) & 0xFF);
 }
 
-/// Format-dispatching event encoder (append path).
-void encode_event(JournalFormat format, std::string& out, std::uint64_t seq,
-                  common::TimeNs time, const std::string& type,
-                  const std::string& data_dump) {
-  if (format == JournalFormat::kJsonV1) {
-    out += encode_line(seq, time, type, data_dump);
-  } else {
-    encode_frame(out, seq, time, type, data_dump);
+/// What check_frame found at one frame boundary.
+enum class FrameVerdict {
+  kClean,     ///< whole, CRC-clean, prelude consistent with its length
+  kTornTail,  ///< incomplete, or CRC-failing as the FINAL frame: the
+              ///< crash-mid-write shape, dropped by every reader
+  kCorrupt,   ///< CRC-failing with bytes after it, or CRC-clean but with a
+              ///< prelude its length contradicts: never a crash artefact
+};
+
+struct Frame {
+  FrameVerdict verdict = FrameVerdict::kTornTail;
+  const char* defect = nullptr;  ///< why the frame is not clean
+  std::size_t end = 0;           ///< offset just past a clean frame
+  std::uint64_t seq = 0;
+  common::TimeNs time = 0;
+  std::string_view type;
+  std::string_view body;
+};
+
+/// The one frame check shared by every walker — replay (read_file),
+/// compaction, segment shipping and the follower's validate_frames — so
+/// none of them can accept a frame another rejects. `pos` is a frame
+/// boundary strictly inside `content`. Each caller keeps its own policy
+/// for what is not clean; none decodes the body here.
+Frame check_frame(std::string_view content, std::size_t pos) {
+  Frame frame;
+  const std::size_t left = content.size() - pos;
+  if (left < kFrameHeaderLen) {
+    frame.defect = "incomplete frame header";
+    return frame;
   }
+  const std::uint32_t len = get_le32(content.data() + pos);
+  if (len > left - kFrameHeaderLen) {
+    frame.defect = "declared length runs past the end";
+    return frame;
+  }
+  const std::size_t end = pos + kFrameHeaderLen + len;
+  const std::string_view payload = content.substr(pos + kFrameHeaderLen, len);
+  if (crc32c(payload) != get_le32(content.data() + pos + 4)) {
+    if (end < content.size()) {
+      frame.verdict = FrameVerdict::kCorrupt;
+      frame.defect = "CRC mismatch before the tail";
+    } else {
+      frame.defect = "CRC mismatch";
+    }
+    return frame;
+  }
+  frame.verdict = FrameVerdict::kCorrupt;
+  if (len < kFramePreludeLen) {
+    frame.defect = "too short for its prelude";
+    return frame;
+  }
+  const std::uint32_t type_len = get_le32(payload.data() + 16);
+  if (type_len > len - kFramePreludeLen) {
+    frame.defect = "declares an oversized event type";
+    return frame;
+  }
+  frame.verdict = FrameVerdict::kClean;
+  frame.defect = nullptr;
+  frame.end = end;
+  frame.seq = get_le64(payload.data());
+  frame.time = static_cast<common::TimeNs>(get_le64(payload.data() + 8));
+  frame.type = payload.substr(kFramePreludeLen, type_len);
+  frame.body = payload.substr(kFramePreludeLen + type_len);
+  return frame;
 }
 
 // --- Binary job_submitted frame body -------------------------------------
@@ -127,13 +161,12 @@ void encode_event(JournalFormat format, std::string& out, std::uint64_t seq,
 // The hottest event by far is job_submitted, and profiling shows its cost
 // is not the frame encoding but building a Json tree of the JobRecord and
 // dumping it to text — a couple of microseconds per event on the writer
-// thread, which bounds sustained durable throughput. Inside a v2 frame the
+// thread, which bounds sustained durable throughput. Inside a frame the
 // body is an opaque byte string, so the writer stores the record as a flat
-// binary struct instead and replay decodes it back into the exact Json the
-// JSON body would have carried. JSON bodies always start with '{' (0x7B),
-// so the marker byte below discriminates with one byte of lookahead; both
-// body encodings stay valid in any v2 segment (a segment migrated from v1
-// mid-batch simply carries a mix).
+// binary struct instead and replay decodes it back into the exact Json a
+// JSON body would have carried. Every other event's body is JSON, which
+// always starts with '{' (0x7B), so the marker byte below discriminates
+// with one byte of lookahead.
 
 /// First byte of a binary job_submitted body.
 constexpr char kSubmitMetaMarker = '\x01';
@@ -193,9 +226,9 @@ void encode_submit_meta(std::string& out, const JobRecord& meta,
   if (!samples_dump.empty()) put_str(out, samples_dump);
 }
 
-/// Decodes a binary job_submitted body back into the `{"job":{...}}` Json
-/// the JSON-bodied path would have produced, so recovery replay is
-/// byte-for-byte indifferent to which encoding the writer used. Any
+/// Decodes a binary job_submitted body back into `{"job":{...}}`, the
+/// record's to_json() carrying its payload_hash and, on first sighting,
+/// its embedded payload — the Json replay hands the recovery code. Any
 /// truncation, bad enum value or trailing garbage is a protocol error —
 /// the frame CRC already passed, so a malformed body is corruption (or a
 /// future codec version), not a torn tail.
@@ -272,6 +305,26 @@ common::Error make_io_error(const std::string& what, const std::string& path) {
   return common::err::io(what + " '" + path + "': " + std::strerror(errno));
 }
 
+/// Rejects a file that does not start with the segment magic. A prefix of
+/// the magic passes: that is a header torn by a crash, read as empty.
+Status check_magic(std::string_view content, const std::string& path) {
+  const std::size_t have = std::min(content.size(), kMagicLen);
+  if (std::memcmp(content.data(), kMagicV2, have) != 0) {
+    return common::err::protocol("unrecognized journal header in '" + path +
+                                 "' (not a QCWAL2 journal)");
+  }
+  return Status::ok_status();
+}
+
+/// Whole-file read; absent reads as empty.
+std::string read_all(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return {};
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 /// Reads `[offset, offset + max_bytes)` of `path` (short read at EOF).
 std::string read_range(const std::string& path, std::uint64_t offset,
                        std::uint64_t max_bytes) {
@@ -285,7 +338,7 @@ std::string read_range(const std::string& path, std::uint64_t offset,
   return out;
 }
 
-/// Plain full write with EINTR retry — used for the one-time v2 segment
+/// Plain full write with EINTR retry — used for the one-time segment
 /// header, which deliberately bypasses the fault injector so injected
 /// journal-write faults keep hitting event N, not event N-1.
 Status write_fully(int fd, const char* data, std::size_t size,
@@ -313,14 +366,6 @@ const char* to_string(SyncMode mode) noexcept {
     case SyncMode::kNone: return "none";
     case SyncMode::kAlways: return "always";
     case SyncMode::kGroupCommit: return "group_commit";
-  }
-  return "?";
-}
-
-const char* to_string(JournalFormat format) noexcept {
-  switch (format) {
-    case JournalFormat::kJsonV1: return "v1-json";
-    case JournalFormat::kBinaryV2: return "v2-binary";
   }
   return "?";
 }
@@ -396,36 +441,18 @@ Status JobJournal::open(const std::string& path,
       return make_io_error("cannot truncate torn journal tail of", path);
     }
     QCENV_LOG(Warn) << "truncated torn tail: " << (file_bytes_ - valid_bytes)
-                    << " byte(s) after the last complete line of '" << path
+                    << " byte(s) after the last complete frame of '" << path
                     << "'";
     file_bytes_ = valid_bytes;
   }
   if (file_bytes_ == 0) {
-    // New (or fully torn) file: it gets the configured format, and a v2
-    // segment starts with its magic so the very first crash-restart can
-    // tell "empty v2 journal" from "unrecognized garbage".
-    active_format_ = options_.format;
-    if (active_format_ == JournalFormat::kBinaryV2) {
-      QCENV_RETURN_IF_ERROR(write_fully(fd_, kMagicV2, kMagicLen, path));
-      if (::fsync(fd_) != 0) {
-        return make_io_error("cannot fsync journal header of", path);
-      }
-      file_bytes_ = kMagicLen;
+    // New (or fully torn) file: it starts with the magic so the very first
+    // crash-restart can tell "empty journal" from "unrecognized garbage".
+    QCENV_RETURN_IF_ERROR(write_fully(fd_, kMagicV2, kMagicLen, path));
+    if (::fsync(fd_) != 0) {
+      return make_io_error("cannot fsync journal header of", path);
     }
-  } else {
-    // Non-empty: the file's own bytes decide (v1 lines start with '{',
-    // v2 with the magic — read_file already rejected anything else).
-    const std::string head = read_range(path, 0, 1);
-    active_format_ = (!head.empty() && head[0] == '{')
-                         ? JournalFormat::kJsonV1
-                         : JournalFormat::kBinaryV2;
-    if (active_format_ != options_.format) {
-      QCENV_LOG(Info) << "journal '" << path << "' is "
-                      << to_string(active_format_)
-                      << "; appends keep that format until the next "
-                         "compaction rewrites it as "
-                      << to_string(options_.format);
-    }
+    file_bytes_ = kMagicLen;
   }
   file_events_ = preparsed.size();
   if (!preparsed.empty()) {
@@ -461,8 +488,7 @@ std::uint64_t JobJournal::append_job_submitted(
   return enqueue("job_submitted", std::move(event));
 }
 
-std::string JobJournal::serialize_pending(const PendingEvent& event,
-                                          bool binary_meta) {
+std::string JobJournal::serialize_pending(const PendingEvent& event) {
   if (event.submit_meta.has_value()) {
     const JobRecord& meta = *event.submit_meta;
     std::uint64_t hash = meta.payload_hash;
@@ -487,30 +513,19 @@ std::string JobJournal::serialize_pending(const PendingEvent& event,
       std::scoped_lock lock(payload_mutex_);
       first_sighting = embedded_payloads_.insert(std::move(key)).second;
     }
-    if (binary_meta) {
-      // v2 segment: flat binary body, no Json tree, no text dump of the
-      // metadata. This is where the binary WAL earns its keep — decode
-      // happens once at recovery, not once per submission.
-      std::string payload_dump;
-      if (first_sighting) {
-        payload_dump = event.submit_payload->to_json().dump();
-      } else if (!meta.payload.is_null()) {
-        payload_dump = meta.payload.dump();
-      }
-      std::string samples_dump;
-      if (!meta.samples.is_null()) samples_dump = meta.samples.dump();
-      std::string out;
-      encode_submit_meta(out, meta, hash, payload_dump, samples_dump);
-      return out;
+    // Flat binary body, no Json tree, no text dump of the metadata: the
+    // decode happens once at recovery, not once per submission.
+    std::string payload_dump;
+    if (first_sighting) {
+      payload_dump = event.submit_payload->to_json().dump();
+    } else if (!meta.payload.is_null()) {
+      payload_dump = meta.payload.dump();
     }
-    Json job = meta.to_json();
-    if (event.submit_payload != nullptr) {
-      job["payload_hash"] = static_cast<long long>(hash);
-      if (first_sighting) job["payload"] = event.submit_payload->to_json();
-    }
-    Json data = Json::object();
-    data["job"] = std::move(job);
-    return data.dump();
+    std::string samples_dump;
+    if (!meta.samples.is_null()) samples_dump = meta.samples.dump();
+    std::string out;
+    encode_submit_meta(out, meta, hash, payload_dump, samples_dump);
+    return out;
   }
   if (event.build) return event.build().dump();
   return event.data.dump();
@@ -534,18 +549,12 @@ std::uint64_t JobJournal::enqueue(const std::string& type,
       return seq;
     }
     if (options_.sync == SyncMode::kAlways) {
-      // mutex_ is held, and drop_through flips active_format_ only while
-      // holding mutex_, so the encoding here always matches the file.
-      const bool binary_meta =
-          active_format_ == JournalFormat::kBinaryV2 &&
-          options_.format == JournalFormat::kBinaryV2;
-      std::string line;
-      encode_event(active_format_, line, seq, now, type,
-                   serialize_pending(event, binary_meta));
+      std::string frame;
+      encode_frame(frame, seq, now, type, serialize_pending(event));
       Status wrote = Status::ok_status();
       {
         std::scoped_lock io(io_mutex_);
-        wrote = write_block(line, /*sync=*/true);
+        wrote = write_block(frame, /*sync=*/true);
       }
       if (!wrote.ok()) {
         QCENV_LOG(Error) << "journal write failed: " << wrote.to_string();
@@ -553,7 +562,7 @@ std::uint64_t JobJournal::enqueue(const std::string& type,
         durable_cv_.notify_all();
         return seq;
       }
-      file_bytes_ += line.size();
+      file_bytes_ += frame.size();
       ++file_events_;
       ++fsyncs_;
       written_seq_ = durable_seq_ = seq;
@@ -761,13 +770,6 @@ void JobJournal::writer_loop() {
     // Serialization happens here, off every appender's hot path.
     const std::uint64_t target = last_append_seq_;
     const std::uint64_t epoch = rewrite_epoch_;
-    // Sampled under mutex_ (drop_through flips active_format_ under it).
-    // Stable across the unlock below: a migration only ever moves
-    // active_format_ TOWARD options_.format, so "both are v2" cannot
-    // become false, and if it is false here the worst case is a JSON body
-    // landing in a freshly migrated v2 segment — which is a valid v2 body.
-    const bool binary_meta = active_format_ == JournalFormat::kBinaryV2 &&
-                             options_.format == JournalFormat::kBinaryV2;
     std::deque<PendingEvent> batch;
     batch.swap(pending_);
     const std::uint64_t batch_events = batch.size();
@@ -775,34 +777,19 @@ void JobJournal::writer_loop() {
         options_.sync == SyncMode::kGroupCommit || flush_requested_;
     flush_requested_ = false;
     lock.unlock();
-    // Serialize (the expensive part: payload bodies, JSON dumps) without
-    // holding any lock; assemble the on-disk block under io_mutex_, where
-    // active_format_ is stable — a concurrent drop_through migration
-    // flips it under io_mutex_, and a v1-encoded block must never land in
-    // a freshly rewritten v2 file.
-    struct SerializedEvent {
-      std::uint64_t seq;
-      common::TimeNs time;
-      std::string type;
-      std::string dump;
-    };
-    std::vector<SerializedEvent> items;
-    items.reserve(batch.size());
-    for (auto& event : batch) {
-      items.push_back({event.seq, event.time, std::move(event.type),
-                       serialize_pending(event, binary_meta)});
+    // Serialize and frame the batch (the expensive part: payload bodies,
+    // JSON dumps, CRCs) without holding any lock.
+    std::string block;
+    block.reserve(batch.size() * 128);
+    for (const auto& event : batch) {
+      encode_frame(block, event.seq, event.time, event.type,
+                   serialize_pending(event));
     }
     batch.clear();
-    std::string block;
     Status wrote = Status::ok_status();
     const auto io_start = std::chrono::steady_clock::now();
     {
       std::scoped_lock io(io_mutex_);
-      block.reserve(items.size() * 128);
-      for (const auto& item : items) {
-        encode_event(active_format_, block, item.seq, item.time, item.type,
-                     item.dump);
-      }
       wrote = write_block(block, want_sync);
     }
     const double io_seconds =
@@ -852,118 +839,28 @@ void JobJournal::writer_loop() {
 
 namespace {
 
-/// Sequence number of one encoded journal line (format fixed by
-/// encode_line: `{"seq":N,...`). nullopt for anything else.
-std::optional<std::uint64_t> line_seq(const std::string& line) {
-  constexpr const char* kPrefix = "{\"seq\":";
-  constexpr std::size_t kPrefixLen = 7;
-  if (line.compare(0, kPrefixLen, kPrefix) != 0) return std::nullopt;
-  char* end = nullptr;
-  const std::uint64_t seq = std::strtoull(line.c_str() + kPrefixLen, &end, 10);
-  if (end == line.c_str() + kPrefixLen || *end != ',') return std::nullopt;
-  return seq;
-}
-
-/// Appends every complete v1 line of `content` with seq > watermark to
-/// `kept`. Keeping the v1 format is a raw seq-prefix filter (no JSON
-/// parse); re-encoding to v2 — the migration — parses each kept line
-/// once and emits a frame.
-Status filter_journal_lines(const std::string& content,
-                            std::uint64_t watermark, JournalFormat target,
-                            std::string& kept, std::uint64_t& kept_events,
-                            const std::string& path) {
-  std::size_t start = 0;
-  while (start < content.size()) {
-    const std::size_t newline = content.find('\n', start);
-    if (newline == std::string::npos) break;  // torn tail
-    if (newline > start) {
-      const std::string line = content.substr(start, newline - start);
-      const auto seq = line_seq(line);
-      if (seq.has_value() && *seq > watermark) {
-        if (target == JournalFormat::kJsonV1) {
-          kept += line;
-          kept += '\n';
-        } else {
-          auto parsed = Json::parse(line);
-          if (!parsed.ok()) {
-            return common::err::protocol(
-                "cannot migrate corrupt journal line of '" + path +
-                "': " + parsed.error().message());
-          }
-          auto type = parsed.value().get_string("e");
-          if (!type.ok()) {
-            return common::err::protocol(
-                "cannot migrate journal line of '" + path +
-                "': missing event type");
-          }
-          const Json& t = parsed.value().at_or_null("t");
-          encode_frame(kept, *seq, t.is_number() ? t.as_int() : 0,
-                       type.value(), parsed.value().at_or_null("d").dump());
-        }
-        ++kept_events;
-      }
-    }
-    start = newline + 1;
-  }
-  return Status::ok_status();
-}
-
-/// v2 counterpart: walks frames from `pos`, keeping (seq > watermark)
-/// frames as raw byte copies, or transcoding them to v1 lines when the
-/// target format is v1. A short/torn tail terminates the walk (mirrors
-/// replay); a CRC failure before the tail is an error — compaction must
-/// not silently launder corruption into a clean-looking file.
-Status filter_journal_frames(const std::string& content, std::size_t pos,
-                             std::uint64_t watermark, JournalFormat target,
-                             std::string& kept, std::uint64_t& kept_events,
+/// Compaction's walk: appends every frame from `pos` with seq > watermark
+/// to `kept` as a raw byte copy — no body is decoded, this runs on a live
+/// daemon. A torn tail ends the walk (replay drops it too); corruption
+/// before the tail is an error — compaction must not silently launder it
+/// into a clean-looking file.
+Status filter_journal_frames(std::string_view content, std::size_t pos,
+                             std::uint64_t watermark, std::string& kept,
+                             std::uint64_t& kept_events,
                              const std::string& path) {
   while (pos < content.size()) {
-    if (content.size() - pos < kFrameHeaderLen) break;  // torn tail
-    const std::uint32_t len = get_le32(content.data() + pos);
-    const std::size_t extent = pos + kFrameHeaderLen + len;
-    if (extent > content.size()) break;  // torn tail
-    const char* payload = content.data() + pos + kFrameHeaderLen;
-    const bool valid =
-        crc32c(std::string_view(payload, len)) ==
-            get_le32(content.data() + pos + 4) &&
-        len >= kFramePreludeLen;
-    if (!valid) {
-      if (extent == content.size()) break;  // torn final frame
-      return common::err::protocol(
-          "corrupt journal frame before the tail of '" + path +
-          "' found during compaction");
+    const Frame frame = check_frame(content, pos);
+    if (frame.verdict == FrameVerdict::kTornTail) break;
+    if (frame.verdict == FrameVerdict::kCorrupt) {
+      return common::err::protocol("corrupt journal frame in '" + path +
+                                   "' found during compaction: " +
+                                   frame.defect);
     }
-    const std::uint64_t seq = get_le64(payload);
-    if (seq > watermark) {
-      if (target == JournalFormat::kBinaryV2) {
-        kept.append(content, pos, extent - pos);
-      } else {
-        const std::uint32_t type_len = get_le32(payload + 16);
-        if (kFramePreludeLen + static_cast<std::uint64_t>(type_len) > len) {
-          return common::err::protocol(
-              "malformed journal frame in '" + path + "'");
-        }
-        const std::string type(payload + kFramePreludeLen, type_len);
-        std::string dump(payload + kFramePreludeLen + type_len,
-                         len - kFramePreludeLen - type_len);
-        if (!dump.empty() && dump[0] == kSubmitMetaMarker) {
-          // v1 lines carry JSON only: a binary-bodied frame transcodes
-          // through the decoder (the downgrade path is rare and cold).
-          auto decoded = decode_submit_meta(dump);
-          if (!decoded.ok()) {
-            return common::err::protocol(
-                "cannot transcode binary journal frame of '" + path +
-                "' to v1: " + decoded.error().message());
-          }
-          dump = decoded.value().dump();
-        }
-        kept += encode_line(
-            seq, static_cast<common::TimeNs>(get_le64(payload + 8)), type,
-            dump);
-      }
+    if (frame.seq > watermark) {
+      kept.append(content.substr(pos, frame.end - pos));
       ++kept_events;
     }
-    pos = extent;
+    pos = frame.end;
   }
   return Status::ok_status();
 }
@@ -972,42 +869,26 @@ Status filter_journal_frames(const std::string& content, std::size_t pos,
 
 Status JobJournal::drop_through(std::uint64_t watermark) {
   QCENV_RETURN_IF_ERROR(flush());
-  // The rewrite re-encodes into options_.format whenever that differs
-  // from what is on disk — this is the transparent v1 -> v2 migration
-  // (and, symmetrically, a downgrade path for debugging).
-  JournalFormat source = JournalFormat::kBinaryV2;
-  {
-    std::scoped_lock lock(mutex_);
-    source = active_format_;
-  }
-  const JournalFormat target = options_.format;
   // Phase 1 — no locks held: filter everything currently in the file.
   // The journal is append-only between compactions (drop_through calls
   // are serialized by StateStore's compact mutex, and fail-stop means an
   // errored fd is never written again), and the writer only writes whole
-  // blocks of complete lines/frames under io_mutex_, so the size sampled
-  // here is a stable event boundary. Appends keep flowing while we
-  // filter.
+  // blocks of complete frames under io_mutex_, so the size sampled here
+  // is a stable event boundary. Appends keep flowing while we filter.
   std::uint64_t stable_bytes = 0;
   {
     std::scoped_lock io(io_mutex_);
     const off_t size = ::lseek(fd_, 0, SEEK_END);
     stable_bytes = size > 0 ? static_cast<std::uint64_t>(size) : 0;
   }
-  std::string kept;
-  if (target == JournalFormat::kBinaryV2) kept.assign(kMagicV2, kMagicLen);
+  std::string kept(kMagicV2, kMagicLen);
   std::uint64_t kept_events = 0;
   {
     const std::string content = read_range(path_, 0, stable_bytes);
-    if (source == JournalFormat::kBinaryV2) {
-      const std::size_t skip =
-          content.size() >= kMagicLen ? kMagicLen : content.size();
-      QCENV_RETURN_IF_ERROR(filter_journal_frames(
-          content, skip, watermark, target, kept, kept_events, path_));
-    } else {
-      QCENV_RETURN_IF_ERROR(filter_journal_lines(
-          content, watermark, target, kept, kept_events, path_));
-    }
+    QCENV_RETURN_IF_ERROR(check_magic(content, path_));
+    QCENV_RETURN_IF_ERROR(filter_journal_frames(
+        content, std::min(content.size(), kMagicLen), watermark, kept,
+        kept_events, path_));
   }
 
   // Phase 2 — under the locks: fold in the (small) suffix appended while
@@ -1021,13 +902,8 @@ Status JobJournal::drop_through(std::uint64_t watermark) {
   if (total_bytes > stable_bytes) {
     const std::string delta =
         read_range(path_, stable_bytes, total_bytes - stable_bytes);
-    if (source == JournalFormat::kBinaryV2) {
-      QCENV_RETURN_IF_ERROR(filter_journal_frames(
-          delta, 0, watermark, target, kept, kept_events, path_));
-    } else {
-      QCENV_RETURN_IF_ERROR(filter_journal_lines(
-          delta, watermark, target, kept, kept_events, path_));
-    }
+    QCENV_RETURN_IF_ERROR(filter_journal_frames(delta, 0, watermark, kept,
+                                                kept_events, path_));
   }
 
   QCENV_RETURN_IF_ERROR(write_file_atomic(path_, kept));
@@ -1046,7 +922,6 @@ Status JobJournal::drop_through(std::uint64_t watermark) {
   ship_cursor_offset_ = 0;
   file_bytes_ = kept.size();
   file_events_ = kept_events;
-  active_format_ = target;
   {
     // The dropped prefix may have held payload-defining events; the
     // snapshot that justified this truncation carries those payloads, so
@@ -1059,156 +934,13 @@ Status JobJournal::drop_through(std::uint64_t watermark) {
 
 namespace {
 
-/// v1 body of read_file: newline-delimited JSON lines.
-Result<std::vector<JournalEntry>> read_file_v1(
-    const std::string& content, const std::string& path,
-    std::uint64_t* complete_prefix_bytes) {
-  std::vector<JournalEntry> entries;
-  // Only newline-terminated lines are complete — the exact rule open()
-  // uses to truncate torn tails, so replayed state always matches what
-  // stays on disk.
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < content.size()) {
-    const std::size_t newline = content.find('\n', start);
-    if (newline == std::string::npos) {
-      QCENV_LOG(Warn) << "dropping torn journal tail ("
-                      << (content.size() - start) << " byte(s)) of '"
-                      << path << "'";
-      break;
-    }
-    if (newline > start) {
-      lines.push_back(content.substr(start, newline - start));
-    }
-    start = newline + 1;
-  }
-  // `start` now sits just past the last newline: the complete-line prefix
-  // open() keeps when truncating a torn tail.
-  if (complete_prefix_bytes != nullptr) *complete_prefix_bytes = start;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    auto parsed = Json::parse(lines[i]);
-    if (!parsed.ok()) {
-      return common::err::protocol(
-          "corrupt journal line " + std::to_string(i + 1) + " of '" + path +
-          "': " + parsed.error().message());
-    }
-    JournalEntry entry;
-    auto seq = parsed.value().get_int("seq");
-    auto type = parsed.value().get_string("e");
-    if (!seq.ok() || !type.ok()) {
-      return common::err::protocol("journal line " + std::to_string(i + 1) +
-                                   " of '" + path +
-                                   "' lacks seq/event fields");
-    }
-    entry.seq = static_cast<std::uint64_t>(seq.value());
-    entry.type = std::move(type).value();
-    const Json& t = parsed.value().at_or_null("t");
-    entry.time = t.is_number() ? t.as_int() : 0;
-    entry.data = parsed.value().at_or_null("d");
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
-
-/// v2 body of read_file: magic header + CRC-checked frames. A frame that
-/// runs past EOF or whose CRC fails AT the tail is a torn tail (dropped,
-/// prefix stops before it); a CRC failure with more data after it is
-/// corruption, reported as an error at that frame boundary.
-Result<std::vector<JournalEntry>> read_file_v2(
-    const std::string& content, const std::string& path,
-    std::uint64_t* complete_prefix_bytes) {
-  std::vector<JournalEntry> entries;
-  if (content.size() < kMagicLen) {
-    QCENV_LOG(Warn) << "dropping torn journal header (" << content.size()
-                    << " byte(s)) of '" << path << "'";
-    return entries;  // prefix 0: open() truncates back to an empty file
-  }
-  std::size_t pos = kMagicLen;
-  if (complete_prefix_bytes != nullptr) *complete_prefix_bytes = pos;
-  std::size_t frame_index = 0;
-  while (pos < content.size()) {
-    ++frame_index;
-    if (content.size() - pos < kFrameHeaderLen) {
-      QCENV_LOG(Warn) << "dropping torn journal tail ("
-                      << (content.size() - pos) << " byte(s)) of '" << path
-                      << "'";
-      break;
-    }
-    const std::uint32_t len = get_le32(content.data() + pos);
-    const std::size_t extent = pos + kFrameHeaderLen + len;
-    if (extent > content.size()) {
-      QCENV_LOG(Warn) << "dropping torn journal tail frame "
-                      << frame_index << " of '" << path
-                      << "' (declared extent past EOF)";
-      break;
-    }
-    const char* payload = content.data() + pos + kFrameHeaderLen;
-    if (crc32c(std::string_view(payload, len)) !=
-        get_le32(content.data() + pos + 4)) {
-      if (extent == content.size()) {
-        QCENV_LOG(Warn) << "dropping torn journal tail frame "
-                        << frame_index << " of '" << path
-                        << "' (CRC mismatch)";
-        break;
-      }
-      return common::err::protocol(
-          "corrupt journal frame " + std::to_string(frame_index) + " of '" +
-          path + "': CRC mismatch before the tail");
-    }
-    if (len < kFramePreludeLen) {
-      return common::err::protocol(
-          "journal frame " + std::to_string(frame_index) + " of '" + path +
-          "' is too short for its prelude");
-    }
-    const std::uint32_t type_len = get_le32(payload + 16);
-    if (kFramePreludeLen + static_cast<std::uint64_t>(type_len) > len) {
-      return common::err::protocol(
-          "journal frame " + std::to_string(frame_index) + " of '" + path +
-          "' declares an oversized event type");
-    }
-    JournalEntry entry;
-    entry.seq = get_le64(payload);
-    entry.time = static_cast<common::TimeNs>(get_le64(payload + 8));
-    entry.type.assign(payload + kFramePreludeLen, type_len);
-    const char* body = payload + kFramePreludeLen + type_len;
-    const std::size_t body_len = len - kFramePreludeLen - type_len;
-    if (body_len > 0 && body[0] == kSubmitMetaMarker) {
-      auto decoded = decode_submit_meta(std::string_view(body, body_len));
-      if (!decoded.ok()) {
-        return common::err::protocol(
-            "journal frame " + std::to_string(frame_index) + " of '" +
-            path + "' carries an undecodable binary body: " +
-            decoded.error().message());
-      }
-      entry.data = std::move(decoded).value();
-    } else {
-      auto parsed = Json::parse(std::string(body, body_len));
-      if (!parsed.ok()) {
-        return common::err::protocol(
-            "journal frame " + std::to_string(frame_index) + " of '" +
-            path + "' carries invalid JSON data: " +
-            parsed.error().message());
-      }
-      entry.data = std::move(parsed).value();
-    }
-    entries.push_back(std::move(entry));
-    pos = extent;
-    if (complete_prefix_bytes != nullptr) *complete_prefix_bytes = pos;
-  }
-  return entries;
-}
-
-}  // namespace
-
-namespace {
-
 /// Shared frame walk for segment shipping: collects whole valid frames
 /// with seq in (after_seq, durable_cap] into `segment`, stopping
 /// collection (but not the walk — durable_seq must still reflect the full
 /// scanned prefix) once ~max_bytes are gathered. `content` starts at a
 /// frame boundary, magic already skipped. A torn or corrupt frame ends
 /// the walk: only the clean prefix ships, and replay on the follower
-/// applies the same CRC verdicts the leader would. With `check_gap`, a
+/// applies the same frame verdicts the leader would. With `check_gap`, a
 /// cursor below the first frame's predecessor flags snapshot_needed —
 /// the events between were compacted away.
 void scan_segment_frames(std::string_view content, std::uint64_t after_seq,
@@ -1220,32 +952,24 @@ void scan_segment_frames(std::string_view content, std::uint64_t after_seq,
   first_seen = 0;
   bool collecting = true;
   while (pos < content.size()) {
-    if (content.size() - pos < kFrameHeaderLen) break;
-    const std::uint32_t len = get_le32(content.data() + pos);
-    const std::size_t extent = pos + kFrameHeaderLen + len;
-    if (extent > content.size()) break;
-    const char* payload = content.data() + pos + kFrameHeaderLen;
-    if (len < kFramePreludeLen ||
-        crc32c(std::string_view(payload, len)) !=
-            get_le32(content.data() + pos + 4)) {
-      break;
-    }
-    const std::uint64_t seq = get_le64(payload);
+    const Frame frame = check_frame(content, pos);
+    if (frame.verdict != FrameVerdict::kClean) break;
+    const std::uint64_t seq = frame.seq;
     if (seq > durable_cap) break;
     if (first_seen == 0) first_seen = seq;
     segment.durable_seq = std::max(segment.durable_seq, seq);
     if (collecting && seq > after_seq) {
       if (!segment.bytes.empty() &&
-          segment.bytes.size() + (extent - pos) > max_bytes) {
+          segment.bytes.size() + (frame.end - pos) > max_bytes) {
         collecting = false;
       } else {
         if (segment.first_seq == 0) segment.first_seq = seq;
         segment.end_seq = seq;
-        segment.bytes.append(content.substr(pos, extent - pos));
-        served_end = extent;
+        segment.bytes.append(content.substr(pos, frame.end - pos));
+        served_end = frame.end;
       }
     }
-    pos = extent;
+    pos = frame.end;
   }
   if (check_gap && first_seen > 0 && after_seq + 1 < first_seen) {
     segment.snapshot_needed = true;
@@ -1260,24 +984,16 @@ void scan_segment_frames(std::string_view content, std::uint64_t after_seq,
 
 Result<WalSegment> JobJournal::read_segment(std::uint64_t after_seq,
                                             std::uint64_t max_bytes) {
-  JournalFormat format = JournalFormat::kBinaryV2;
   std::uint64_t durable = 0;
   {
     std::scoped_lock lock(mutex_);
     durable = durable_seq_;
-    format = active_format_;
   }
   if (fd_ < 0) {
     return common::err::failed_precondition("journal is not open");
   }
   WalSegment segment;
   segment.durable_seq = durable;
-  if (format == JournalFormat::kJsonV1) {
-    // v1 JSON segments are not streamable; the next compaction rewrites
-    // the file as v2, and the follower bridges the gap via snapshot.
-    segment.snapshot_needed = true;
-    return segment;
-  }
   std::scoped_lock io(io_mutex_);
   std::uint64_t start = kMagicLen;
   bool check_gap = true;
@@ -1324,21 +1040,8 @@ Result<WalSegment> JobJournal::read_segment_file(const std::string& path,
                                                  std::uint64_t after_seq,
                                                  std::uint64_t max_bytes) {
   WalSegment segment;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return segment;  // absent = nothing written yet
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  if (content.empty()) return segment;
-  if (content[0] == '{') {
-    segment.snapshot_needed = true;  // v1: not streamable (see above)
-    return segment;
-  }
-  const std::size_t have = std::min(content.size(), kMagicLen);
-  if (std::memcmp(content.data(), kMagicV2, have) != 0) {
-    return common::err::protocol("unrecognized journal header in '" + path +
-                                 "' (neither v1 JSON lines nor v2 frames)");
-  }
+  const std::string content = read_all(path);
+  QCENV_RETURN_IF_ERROR(check_magic(content, path));
   if (content.size() <= kMagicLen) return segment;
   std::uint64_t served_end = 0;
   std::uint64_t first_seen = 0;
@@ -1356,23 +1059,14 @@ JobJournal::FramePrefix JobJournal::validate_frames(std::string_view bytes,
   std::uint64_t last_seq = after_seq;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
-    if (bytes.size() - pos < kFrameHeaderLen) break;
-    const std::uint32_t len = get_le32(bytes.data() + pos);
-    const std::size_t extent = pos + kFrameHeaderLen + len;
-    if (extent > bytes.size()) break;
-    const char* payload = bytes.data() + pos + kFrameHeaderLen;
-    if (len < kFramePreludeLen ||
-        crc32c(std::string_view(payload, len)) !=
-            get_le32(bytes.data() + pos + 4)) {
-      break;
-    }
-    const std::uint64_t seq = get_le64(payload);
-    if (seq <= last_seq) break;  // out of order / replayed frame
-    last_seq = seq;
-    pos = extent;
+    const Frame frame = check_frame(bytes, pos);
+    if (frame.verdict != FrameVerdict::kClean) break;
+    if (frame.seq <= last_seq) break;  // out of order / replayed frame
+    last_seq = frame.seq;
+    pos = frame.end;
     prefix.bytes = pos;
     ++prefix.frames;
-    prefix.end_seq = seq;
+    prefix.end_seq = frame.seq;
   }
   return prefix;
 }
@@ -1380,21 +1074,58 @@ JobJournal::FramePrefix JobJournal::validate_frames(std::string_view bytes,
 Result<std::vector<JournalEntry>> JobJournal::read_file(
     const std::string& path, std::uint64_t* complete_prefix_bytes) {
   if (complete_prefix_bytes != nullptr) *complete_prefix_bytes = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return std::vector<JournalEntry>{};  // absent = empty
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  if (content.empty()) return std::vector<JournalEntry>{};
-  if (content[0] == '{') {
-    return read_file_v1(content, path, complete_prefix_bytes);
+  std::vector<JournalEntry> entries;
+  const std::string content = read_all(path);
+  if (content.empty()) return entries;  // absent = empty
+  QCENV_RETURN_IF_ERROR(check_magic(content, path));
+  if (content.size() < kMagicLen) {
+    QCENV_LOG(Warn) << "dropping torn journal header (" << content.size()
+                    << " byte(s)) of '" << path << "'";
+    return entries;  // prefix 0: open() truncates back to an empty file
   }
-  const std::size_t have = std::min(content.size(), kMagicLen);
-  if (std::memcmp(content.data(), kMagicV2, have) != 0) {
-    return common::err::protocol("unrecognized journal header in '" + path +
-                                 "' (neither v1 JSON lines nor v2 frames)");
+  // A frame that runs past EOF or fails its CRC as the final frame is a
+  // torn tail (dropped; the prefix stops before it); anything else that is
+  // not clean is corruption, reported at that frame boundary.
+  std::size_t pos = kMagicLen;
+  std::size_t frame_index = 0;
+  while (pos < content.size()) {
+    ++frame_index;
+    const Frame frame = check_frame(content, pos);
+    if (frame.verdict == FrameVerdict::kTornTail) {
+      QCENV_LOG(Warn) << "dropping torn journal tail frame " << frame_index
+                      << " of '" << path << "' (" << frame.defect << ", "
+                      << (content.size() - pos) << " byte(s))";
+      break;
+    }
+    const auto corrupt = [&](const std::string& what) {
+      return common::err::protocol("corrupt journal frame " +
+                                   std::to_string(frame_index) + " of '" +
+                                   path + "': " + what);
+    };
+    if (frame.verdict == FrameVerdict::kCorrupt) return corrupt(frame.defect);
+    JournalEntry entry;
+    entry.seq = frame.seq;
+    entry.time = frame.time;
+    entry.type = frame.type;
+    if (!frame.body.empty() && frame.body[0] == kSubmitMetaMarker) {
+      auto decoded = decode_submit_meta(frame.body);
+      if (!decoded.ok()) {
+        return corrupt("undecodable binary body: " +
+                       decoded.error().message());
+      }
+      entry.data = std::move(decoded).value();
+    } else {
+      auto parsed = Json::parse(frame.body);
+      if (!parsed.ok()) {
+        return corrupt("invalid JSON data: " + parsed.error().message());
+      }
+      entry.data = std::move(parsed).value();
+    }
+    entries.push_back(std::move(entry));
+    pos = frame.end;
   }
-  return read_file_v2(content, path, complete_prefix_bytes);
+  if (complete_prefix_bytes != nullptr) *complete_prefix_bytes = pos;
+  return entries;
 }
 
 }  // namespace qcenv::store

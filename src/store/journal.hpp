@@ -1,23 +1,18 @@
 // JobJournal: append-only write-ahead log of job/session lifecycle events.
 //
-// On-disk formats (the file's own header decides; see JournalFormat):
-//   v2 (default)  8-byte magic "QCWAL2\n", then length-prefixed binary
-//                 frames `[u32 len][u32 crc32c][u64 seq][u64 t][u32 tlen]
-//                 [type][body]` (all little-endian). The CRC covers
-//                 everything after itself, so a torn final frame (crash
-//                 mid-write) OR a bit-rotted tail is detected and dropped
-//                 on replay, while a corrupt frame in the middle of the
-//                 file is rejected at its frame boundary instead of
-//                 poisoning everything after it. The body is either the
-//                 event's JSON dump (first byte '{') or, for
-//                 job_submitted, a flat binary record (first byte 0x01 —
-//                 see journal.cpp) that replay decodes back into the
-//                 identical JSON; both may coexist in one segment.
-//   v1 (legacy)   one JSON line `{"seq":N,"t":<ns>,"e":"<type>", ...}` per
-//                 event. v1 files open, replay and append transparently
-//                 under the new code; the next compaction rewrites them as
-//                 v2 (see drop_through).
-// Sequence numbers are strictly increasing in both formats.
+// On-disk format: the 8-byte magic "QCWAL2\n", then length-prefixed
+// binary frames `[u32 len][u32 crc32c][u64 seq][u64 t][u32 tlen][type]
+// [body]` (all little-endian). The CRC covers everything after itself, so
+// a torn final frame (crash mid-write) OR a bit-rotted tail is detected
+// and dropped on replay, while a corrupt frame in the middle of the file
+// is rejected at its frame boundary instead of poisoning everything after
+// it. One frame check in journal.cpp decides clean / torn tail / corrupt
+// for every reader: replay, compaction, segment shipping and the
+// follower's validate_frames. The body is the event's JSON dump (first
+// byte '{') or, for job_submitted, a flat binary record (first byte 0x01 —
+// see journal.cpp) that replay decodes into JSON. A file that does not
+// start with the magic is an error, never rewritten. Sequence numbers are
+// strictly increasing.
 //
 // Durability modes:
 //   kAlways       write + fsync inline on every append (slow baseline),
@@ -57,25 +52,14 @@ namespace qcenv::store {
 
 enum class SyncMode { kNone, kAlways, kGroupCommit };
 
-/// The 8-byte v2 segment header, for components that mirror raw frames
+/// The 8-byte segment header, for components that mirror raw frames
 /// into a journal file of their own (the standby replicator).
 std::string_view wal_v2_magic() noexcept;
 
 const char* to_string(SyncMode mode) noexcept;
 
-/// On-disk encoding of one journal segment (see the header comment).
-enum class JournalFormat { kJsonV1 = 1, kBinaryV2 = 2 };
-
-const char* to_string(JournalFormat format) noexcept;
-
 struct JournalOptions {
   SyncMode sync = SyncMode::kGroupCommit;
-  /// Format of NEW (empty or absent) journal files and of compaction
-  /// rewrites. An existing non-empty file keeps its detected on-disk
-  /// format for appends — mixing encodings within one segment would be
-  /// unreadable — until drop_through() rewrites the whole segment in this
-  /// format (that rewrite IS the v1 -> v2 migration).
-  JournalFormat format = JournalFormat::kBinaryV2;
   /// Longest an appended event sits in memory before the group fsync —
   /// i.e. the crash-loss window. 5 ms is noise next to a QPU batch but
   /// keeps fsync duty low even on slow disks.
@@ -84,7 +68,7 @@ struct JournalOptions {
   std::size_t group_commit_max_batch = 512;
 };
 
-/// One decoded journal line.
+/// One decoded journal event.
 struct JournalEntry {
   std::uint64_t seq = 0;
   common::TimeNs time = 0;
@@ -92,14 +76,13 @@ struct JournalEntry {
   common::Json data;
 };
 
-/// One shipped chunk of a v2 journal for standby replication: verbatim
+/// One shipped chunk of a journal for standby replication: verbatim
 /// whole frames (CRCs intact end to end), contiguous with the follower's
 /// cursor, never extending past the durable watermark — a standby must
 /// not hold events the leader has not acknowledged as durable.
 struct WalSegment {
   /// The cursor precedes the file's first frame (compaction dropped those
-  /// events) or the file is a v1 segment the shipping protocol does not
-  /// speak: the follower must catch up from a snapshot before resuming
+  /// events): the follower must catch up from a snapshot before resuming
   /// WAL pulls.
   bool snapshot_needed = false;
   std::uint64_t first_seq = 0;  ///< first frame in `bytes` (0 = none)
@@ -126,7 +109,7 @@ class JobJournal {
   /// sequence numbers continue after the existing tail.
   common::Status open(const std::string& path);
   /// Same, reusing what the caller already decoded via read_file — the
-  /// entries plus the newline-terminated prefix length it reports — so
+  /// entries plus the complete-frame prefix length it reports — so
   /// the recovery path reads and parses the journal exactly once at
   /// startup (everything past the prefix is a torn tail to truncate).
   common::Status open(const std::string& path,
@@ -134,9 +117,6 @@ class JobJournal {
                       std::uint64_t complete_prefix_bytes);
   bool is_open() const noexcept { return fd_ >= 0; }
   const std::string& path() const noexcept { return path_; }
-  /// Encoding appends currently use: the file's detected format, migrated
-  /// to options().format by the next drop_through().
-  JournalFormat active_format() const noexcept { return active_format_; }
 
   /// Appends one event; returns its sequence number. Durability depends on
   /// the sync mode (see header comment). Serialization happens on the
@@ -192,7 +172,7 @@ class JobJournal {
   common::Status flush();
 
   /// Fail-stop: after the first write/fsync failure the journal stops
-  /// writing (so the file keeps at most one torn tail line and replay
+  /// writing (so the file keeps at most one torn tail frame and replay
   /// recovers the durable prefix), acknowledges nothing further, and
   /// reports the sticky error here and from every flush().
   std::optional<common::Error> io_error() const;
@@ -231,10 +211,10 @@ class JobJournal {
   /// they are not serialized until the writer thread picks them up).
   std::uint64_t size_bytes() const;
 
-  /// Decodes every well-formed event of a journal file, in order, auto-
-  /// detecting the on-disk format. A torn tail (incomplete final line /
-  /// frame, or a final frame failing its CRC) is dropped silently; a
-  /// corrupt event before the tail is an error naming the frame. A
+  /// Decodes every well-formed event of a journal file, in order. A torn
+  /// tail (incomplete final frame, or a final frame failing its CRC) is
+  /// dropped with a warning; a corrupt frame before the tail, or a file
+  /// without the magic, is an error naming the frame or the path. A
   /// non-null `complete_prefix_bytes` receives the byte length of the
   /// well-formed prefix the entries came from (for the preparsed open() —
   /// no second read of the file).
@@ -275,7 +255,7 @@ class JobJournal {
 
  private:
   /// One event waiting for the writer thread. Exactly one of data/build/
-  /// submit_payload-with-meta is meaningful (see encode_pending).
+  /// submit_payload-with-meta is meaningful (see serialize_pending).
   struct PendingEvent {
     std::uint64_t seq = 0;
     common::TimeNs time = 0;
@@ -291,12 +271,11 @@ class JobJournal {
   /// Records the first (sticky) I/O failure and flips the failure gauge
   /// so /metrics shows the fail-stop. Caller must hold mutex_.
   void fail_locked(common::Error error);
-  /// Serializes the event body (writer thread / kAlways inline path).
-  /// With `binary_meta` (v2 segment staying v2), a job_submitted event is
-  /// encoded as a flat binary record instead of a JSON dump — the
-  /// dominant per-event cost on the writer thread — and replay decodes it
-  /// back into identical Json. Everything else dumps as JSON text.
-  std::string serialize_pending(const PendingEvent& event, bool binary_meta);
+  /// Serializes the event body (writer thread / kAlways inline path). A
+  /// job_submitted event is encoded as a flat binary record instead of a
+  /// JSON dump — the dominant per-event cost on the writer thread — and
+  /// replay decodes it back into Json. Everything else dumps as JSON text.
+  std::string serialize_pending(const PendingEvent& event);
   void writer_loop();
   /// Writes `block` to the file and optionally fsyncs. Caller must hold
   /// io_mutex_; returns bytes written.
@@ -321,7 +300,6 @@ class JobJournal {
 
   std::string path_;
   int fd_ = -1;
-  JournalFormat active_format_ = JournalFormat::kBinaryV2;
 
   mutable std::mutex mutex_;           // pending buffer + counters
   std::condition_variable work_cv_;    // appenders -> writer

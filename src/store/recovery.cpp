@@ -253,11 +253,9 @@ RecoveredState RecoveryReplayer::apply(
         job.phase = JobPhase::kCompleted;
         job.finish_time = job.submit_time;
       } else {
-        // Placement is an in-memory fleet decision; the restarted daemon
-        // re-places on its own (possibly different) fleet. Pinned jobs
-        // keep their target — the user chose it — and the dispatcher
-        // re-binds (or unplaces, mirroring live failover) at restore.
-        if (!job.pinned) job.resource.clear();
+        // The last journaled placement stands: replay reports what the
+        // journal says. The restarted daemon re-binds or unplaces at
+        // restore, and journals that too (Dispatcher::restore).
         ++state.stats.requeued_jobs;
       }
     }

@@ -1,13 +1,12 @@
-// Journal format migration: v1 JSON files (including torn tails) must
-// open, replay and append under the v2-native code; compaction rewrites
-// them as v2; corrupt v2 frames are rejected at their frame boundary; and
-// the binary job_submitted body round-trips to exactly the JSON the v1
-// encoding would have produced.
+// Journal on-disk format: a file without the QCWAL2 magic (a JSON-lines
+// journal included) is rejected and left byte-identical; compaction
+// keeps frames byte for byte; corrupt frames are rejected at their frame
+// boundary; and the binary job_submitted body decodes to exactly the
+// record's JSON.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,10 +14,10 @@
 #include "common/json.hpp"
 #include "common/temp_dir.hpp"
 #include "quantum/payload.hpp"
-#include "store/crc32c.hpp"
 #include "store/journal.hpp"
 #include "store/recovery.hpp"
 #include "store/records.hpp"
+#include "wal_bytes.hpp"
 
 namespace qcenv::store {
 namespace {
@@ -26,8 +25,10 @@ namespace {
 using common::Json;
 using common::TempDir;
 
-constexpr std::size_t kMagicLen = 8;
-constexpr std::size_t kFrameHeaderLen = 8;
+using wal_test::frame_offsets;
+using wal_test::kFrameHeaderLen;
+using wal_test::read_raw;
+using wal_test::write_raw;
 
 quantum::Payload small_payload(std::uint64_t shots) {
   quantum::Sequence seq(quantum::AtomRegister::linear_chain(2, 6.0));
@@ -36,141 +37,57 @@ quantum::Payload small_payload(std::uint64_t shots) {
   return quantum::Payload::from_sequence(seq, shots);
 }
 
-std::string v1_line(std::uint64_t seq, const std::string& type,
-                    const std::string& data) {
-  return "{\"seq\":" + std::to_string(seq) + ",\"t\":" +
-         std::to_string(seq * 10) + ",\"e\":\"" + type + "\",\"d\":" + data +
-         "}\n";
+TEST(JournalMigration, JsonLinesFileIsRejectedAndLeftIntact) {
+  TempDir dir("qcenv-migration-");
+  const std::string path = dir.path() + "/journal.log";
+  const std::string lines =
+      "{\"seq\":1,\"t\":10,\"e\":\"job_evicted\",\"d\":{\"id\":7}}\n";
+  write_raw(path, lines);
+
+  auto entries = JobJournal::read_file(path);
+  ASSERT_FALSE(entries.ok());
+  EXPECT_NE(entries.error().message().find(path), std::string::npos)
+      << entries.error().message();
+
+  common::WallClock clock;
+  JournalOptions options;
+  options.sync = SyncMode::kAlways;
+  JobJournal journal(options, &clock, nullptr);
+  EXPECT_FALSE(journal.open(path).ok());
+  EXPECT_EQ(read_raw(path), lines) << "open must never rewrite a foreign file";
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
-}
-
-std::string read_raw(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-/// A v1 journal: one submitted job, one batch, one completion.
-std::string sample_v1_journal() {
+TEST(JournalMigration, CompactionKeepingEverythingIsByteIdentical) {
+  TempDir dir("qcenv-migration-");
+  const std::string path = dir.path() + "/journal.log";
+  common::WallClock clock;
+  JournalOptions options;
+  options.sync = SyncMode::kAlways;
+  JobJournal journal(options, &clock, nullptr);
+  ASSERT_TRUE(journal.open(path).ok());
   JobRecord job;
   job.id = 7;
   job.session = 1;
   job.user = "alice";
   job.total_shots = 100;
   job.submit_time = 10;
-  Json wrapped = Json::object();
-  wrapped["job"] = job.to_json();
-  std::string content = v1_line(1, "job_submitted", wrapped.dump());
-  content += v1_line(2, "batch_dispatched",
-                     R"({"id":7,"resource":"emu0","shots":100})");
-  content += v1_line(3, "batch_done", R"({"id":7,"shots":100})");
-  content += v1_line(4, "job_completed", R"({"id":7})");
-  return content;
-}
+  journal.append_job_submitted(
+      job, std::make_shared<const quantum::Payload>(small_payload(100)));
+  journal.append("batch_dispatched",
+                 Json::parse(R"({"id":7,"resource":"emu0","shots":100})")
+                     .value());
+  journal.append("batch_done", Json::parse(R"({"id":7,"shots":100})").value());
+  journal.append("job_completed", Json::parse(R"({"id":7})").value());
 
-/// Byte offsets of every v2 frame in `content` (after the magic).
-std::vector<std::size_t> frame_offsets(const std::string& content) {
-  std::vector<std::size_t> offsets;
-  std::size_t pos = kMagicLen;
-  while (pos + kFrameHeaderLen <= content.size()) {
-    offsets.push_back(pos);
-    const auto* bytes =
-        reinterpret_cast<const unsigned char*>(content.data() + pos);
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(bytes[0]) |
-        (static_cast<std::uint32_t>(bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(bytes[3]) << 24);
-    pos += kFrameHeaderLen + len;
-  }
-  return offsets;
-}
-
-TEST(JournalMigration, V1FileOpensReplaysAndAppendsInV1) {
-  TempDir dir("qcenv-migration-");
-  const std::string path = dir.path() + "/journal.log";
-  write_file(path, sample_v1_journal());
-
-  auto entries = JobJournal::read_file(path);
-  ASSERT_TRUE(entries.ok()) << entries.error().to_string();
-  ASSERT_EQ(entries.value().size(), 4u);
-  EXPECT_EQ(entries.value()[0].type, "job_submitted");
-  EXPECT_EQ(entries.value()[3].seq, 4u);
-
-  // Opening with v2-native options keeps appending v1: one segment, one
-  // encoding.
-  common::WallClock clock;
-  JournalOptions options;
-  options.sync = SyncMode::kAlways;
-  ASSERT_EQ(options.format, JournalFormat::kBinaryV2);
-  JobJournal journal(options, &clock, nullptr);
-  ASSERT_TRUE(journal.open(path).ok());
-  EXPECT_EQ(journal.active_format(), JournalFormat::kJsonV1);
-  Json data = Json::object();
-  data["id"] = 7;
-  journal.append("job_evicted", std::move(data));
-
-  const std::string raw = read_raw(path);
-  EXPECT_EQ(raw.front(), '{') << "appends must stay v1 until compaction";
-  auto after = JobJournal::read_file(path);
-  ASSERT_TRUE(after.ok());
-  ASSERT_EQ(after.value().size(), 5u);
-  EXPECT_EQ(after.value()[4].type, "job_evicted");
-  EXPECT_EQ(after.value()[4].seq, 5u);
-}
-
-TEST(JournalMigration, V1TornTailIsTruncatedOnOpen) {
-  TempDir dir("qcenv-migration-");
-  const std::string path = dir.path() + "/journal.log";
-  // A crash mid-append: the final line has no terminating newline.
-  write_file(path, sample_v1_journal() + R"({"seq":5,"t":50,"e":"job_)");
-
-  auto entries = JobJournal::read_file(path);
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ(entries.value().size(), 4u) << "torn tail must be dropped";
-
-  common::WallClock clock;
-  JournalOptions options;
-  options.sync = SyncMode::kAlways;
-  JobJournal journal(options, &clock, nullptr);
-  ASSERT_TRUE(journal.open(path).ok());
-  // The fragment is gone from disk, so the next append cannot splice onto
-  // garbage and seq numbering continues after the last COMPLETE line.
-  const std::string raw = read_raw(path);
-  EXPECT_EQ(raw.size(), sample_v1_journal().size());
-  Json data = Json::object();
-  data["id"] = 7;
-  journal.append("job_evicted", std::move(data));
-  auto after = JobJournal::read_file(path);
-  ASSERT_TRUE(after.ok());
-  ASSERT_EQ(after.value().size(), 5u);
-  EXPECT_EQ(after.value()[4].seq, 5u);
-}
-
-TEST(JournalMigration, CompactionRewritesV1AsV2WithIdenticalReplay) {
-  TempDir dir("qcenv-migration-");
-  const std::string path = dir.path() + "/journal.log";
-  write_file(path, sample_v1_journal());
-
+  const std::string raw_before = read_raw(path);
   auto before = JobJournal::read_file(path);
-  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before.ok()) << before.error().to_string();
+  ASSERT_EQ(before.value().size(), 4u);
 
-  common::WallClock clock;
-  JournalOptions options;
-  options.sync = SyncMode::kAlways;
-  JobJournal journal(options, &clock, nullptr);
-  ASSERT_TRUE(journal.open(path).ok());
-  ASSERT_TRUE(journal.drop_through(0).ok());  // keep everything, re-encode
-
-  const std::string raw = read_raw(path);
-  ASSERT_GE(raw.size(), kMagicLen);
-  EXPECT_EQ(raw.substr(0, 6), "QCWAL2") << "migration must rewrite as v2";
-  EXPECT_EQ(journal.active_format(), JournalFormat::kBinaryV2);
+  ASSERT_TRUE(journal.drop_through(0).ok());  // keep everything
+  EXPECT_EQ(read_raw(path), raw_before)
+      << "compaction must copy kept frames as raw bytes";
+  EXPECT_EQ(journal.event_count(), 4u);
 
   auto after = JobJournal::read_file(path);
   ASSERT_TRUE(after.ok());
@@ -179,7 +96,7 @@ TEST(JournalMigration, CompactionRewritesV1AsV2WithIdenticalReplay) {
     EXPECT_EQ(after.value()[i].seq, before.value()[i].seq);
     EXPECT_EQ(after.value()[i].type, before.value()[i].type);
     EXPECT_EQ(after.value()[i].data.dump(), before.value()[i].data.dump())
-        << "event " << i << " must replay identically after migration";
+        << "event " << i << " must replay identically after compaction";
   }
 
   // The replayer agrees: same recovered job either way.
@@ -215,7 +132,7 @@ TEST(JournalMigration, CorruptCrcFrameIsRejectedAtItsBoundary) {
   // also discards the intact frame after it.
   std::string corrupted = content;
   corrupted[offsets[1] + kFrameHeaderLen + 2] ^= 0x40;
-  write_file(path, corrupted);
+  write_raw(path, corrupted);
   auto entries = JobJournal::read_file(path);
   ASSERT_FALSE(entries.ok());
   EXPECT_NE(entries.error().message().find("frame 2"), std::string::npos)
@@ -225,7 +142,7 @@ TEST(JournalMigration, CorruptCrcFrameIsRejectedAtItsBoundary) {
   // tail: dropped, everything before it replays.
   corrupted = content;
   corrupted[offsets[2] + kFrameHeaderLen + 2] ^= 0x40;
-  write_file(path, corrupted);
+  write_raw(path, corrupted);
   entries = JobJournal::read_file(path);
   ASSERT_TRUE(entries.ok()) << entries.error().to_string();
   EXPECT_EQ(entries.value().size(), 2u);
@@ -245,76 +162,36 @@ TEST(JournalMigration, BinaryBodyMatchesJsonBodyExactly) {
   meta.submit_time = 1234;
   meta.resource = "emu0";
   meta.policy = "round_robin";
+  JobRecord second = meta;
+  second.id = 2;
 
-  const auto run = [&](JournalFormat format) {
-    JournalOptions options;
-    options.sync = SyncMode::kAlways;
-    options.format = format;
-    JobJournal journal(options, &clock, nullptr);
-    const std::string path =
-        dir.path() + "/journal-" + to_string(format) + ".wal";
-    EXPECT_TRUE(journal.open(path).ok());
-    // Two submissions of the same program: the first embeds the payload
-    // body, the second dedups to the fingerprint.
-    JobRecord second = meta;
-    second.id = 2;
-    journal.append_job_submitted(meta, payload);
-    journal.append_job_submitted(second, payload);
-    auto entries = JobJournal::read_file(path);
-    EXPECT_TRUE(entries.ok()) << entries.error().to_string();
-    return std::move(entries).value();
-  };
-
-  const auto v1 = run(JournalFormat::kJsonV1);
-  const auto v2 = run(JournalFormat::kBinaryV2);
-  ASSERT_EQ(v1.size(), 2u);
-  ASSERT_EQ(v2.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(v2[i].data.dump(), v1[i].data.dump())
-        << "binary body " << i
-        << " must decode to the exact JSON the v1 encoding carries";
-  }
-  // Sanity on the dedup: first sighting embeds, repeat references.
-  EXPECT_FALSE(v2[0].data.at_or_null("job").at_or_null("payload").is_null());
-  EXPECT_TRUE(v2[1].data.at_or_null("job").at_or_null("payload").is_null());
-  EXPECT_EQ(
-      v2[1].data.at_or_null("job").at_or_null("payload_hash").as_int(),
-      v2[0].data.at_or_null("job").at_or_null("payload_hash").as_int());
-}
-
-TEST(JournalMigration, BinaryBodyTranscodesOnDowngradeToV1) {
-  TempDir dir("qcenv-migration-");
+  JournalOptions options;
+  options.sync = SyncMode::kAlways;
+  JobJournal journal(options, &clock, nullptr);
   const std::string path = dir.path() + "/journal.wal";
-  common::WallClock clock;
-  const auto payload =
-      std::make_shared<const quantum::Payload>(small_payload(64));
-  JobRecord meta;
-  meta.id = 1;
-  meta.user = "alice";
-  meta.total_shots = 64;
-  {
-    JournalOptions options;
-    options.sync = SyncMode::kAlways;
-    JobJournal journal(options, &clock, nullptr);
-    ASSERT_TRUE(journal.open(path).ok());
-    journal.append_job_submitted(meta, payload);
-  }
-  auto before = JobJournal::read_file(path);
-  ASSERT_TRUE(before.ok());
-  {
-    JournalOptions options;
-    options.sync = SyncMode::kAlways;
-    options.format = JournalFormat::kJsonV1;  // debugging downgrade
-    JobJournal journal(options, &clock, nullptr);
-    ASSERT_TRUE(journal.open(path).ok());
-    ASSERT_TRUE(journal.drop_through(0).ok());
-  }
-  const std::string raw = read_raw(path);
-  EXPECT_EQ(raw.front(), '{');
-  auto after = JobJournal::read_file(path);
-  ASSERT_TRUE(after.ok()) << after.error().to_string();
-  ASSERT_EQ(after.value().size(), before.value().size());
-  EXPECT_EQ(after.value()[0].data.dump(), before.value()[0].data.dump());
+  ASSERT_TRUE(journal.open(path).ok());
+  // Two submissions of the same program: the first embeds the payload
+  // body, the second dedups to the fingerprint.
+  journal.append_job_submitted(meta, payload);
+  journal.append_job_submitted(second, payload);
+  auto entries = JobJournal::read_file(path);
+  ASSERT_TRUE(entries.ok()) << entries.error().to_string();
+  ASSERT_EQ(entries.value().size(), 2u);
+
+  // The reference is the record's own JSON plus the payload fingerprint
+  // and, on first sighting only, the payload itself.
+  const auto fingerprint =
+      static_cast<long long>(payload_fingerprint(*payload));
+  const auto expected = [&](const JobRecord& record, bool embeds) {
+    Json job = record.to_json();
+    job["payload_hash"] = fingerprint;
+    if (embeds) job["payload"] = payload->to_json();
+    Json data = Json::object();
+    data["job"] = std::move(job);
+    return data.dump();
+  };
+  EXPECT_EQ(entries.value()[0].data.dump(), expected(meta, true));
+  EXPECT_EQ(entries.value()[1].data.dump(), expected(second, false));
 }
 
 TEST(JournalMigration, MalformedBinaryBodyIsRejectedAtItsFrame) {
@@ -334,36 +211,11 @@ TEST(JournalMigration, MalformedBinaryBodyIsRejectedAtItsFrame) {
   // binary record (marker byte then garbage): the decoder, not the CRC,
   // must reject it, and the error must name this frame.
   std::string content = read_raw(path);
-  const std::string type = "job_submitted";
-  std::string payload;
-  const auto le32 = [&](std::uint32_t v) {
-    payload.push_back(static_cast<char>(v & 0xFF));
-    payload.push_back(static_cast<char>((v >> 8) & 0xFF));
-    payload.push_back(static_cast<char>((v >> 16) & 0xFF));
-    payload.push_back(static_cast<char>((v >> 24) & 0xFF));
-  };
-  le32(2);  // seq lo
-  le32(0);  // seq hi
-  le32(20);  // time lo
-  le32(0);   // time hi
-  le32(static_cast<std::uint32_t>(type.size()));
-  payload += type;
-  payload += '\x01';  // binary marker...
-  payload += "junk";  // ...followed by a hopelessly truncated record
-  std::string frame;
-  frame.reserve(kFrameHeaderLen + payload.size());
-  const auto frame_le32 = [&](std::uint32_t v) {
-    frame.push_back(static_cast<char>(v & 0xFF));
-    frame.push_back(static_cast<char>((v >> 8) & 0xFF));
-    frame.push_back(static_cast<char>((v >> 16) & 0xFF));
-    frame.push_back(static_cast<char>((v >> 24) & 0xFF));
-  };
-  frame_le32(static_cast<std::uint32_t>(payload.size()));
-  frame_le32(crc32c(payload));
-  frame += payload;
+  const std::string frame =
+      wal_test::frame(2, "job_submitted", std::string("\x01") + "junk");
   // Mid-file position: append one more valid-looking frame after it so
   // the rejection cannot masquerade as a dropped torn tail.
-  write_file(path, content + frame + frame);
+  write_raw(path, content + frame + frame);
   auto entries = JobJournal::read_file(path);
   ASSERT_FALSE(entries.ok());
   EXPECT_NE(entries.error().message().find("frame 2"), std::string::npos)

@@ -1,16 +1,16 @@
 // WAL segment shipping: the journal-side half of standby replication.
 // read_segment must serve contiguous, CRC-clean v2 frames strictly after
 // the follower's cursor and never past the durable watermark; compaction
-// gaps and v1 segments must flag snapshot_needed instead of shipping a
-// hole; read_segment_file must salvage the clean prefix of a dead
-// leader's torn journal; and validate_frames — the follower's acceptance
-// check — must reject corruption, torn tails and replayed frames.
+// gaps must flag snapshot_needed instead of shipping a hole;
+// read_segment_file must salvage the clean prefix of a dead leader's torn
+// journal and reject a file that is not a QCWAL2 journal; and
+// validate_frames — the follower's acceptance check — must reject
+// corruption, torn tails, replayed frames and any frame recovery would
+// reject.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +18,7 @@
 #include "common/json.hpp"
 #include "common/temp_dir.hpp"
 #include "store/journal.hpp"
+#include "wal_bytes.hpp"
 
 namespace qcenv::store {
 namespace {
@@ -27,17 +28,8 @@ using common::TempDir;
 
 constexpr std::uint64_t kNoCap = std::numeric_limits<std::uint64_t>::max();
 
-std::string read_raw(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_raw(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
-}
+using wal_test::read_raw;
+using wal_test::write_raw;
 
 Json event_body(std::uint64_t n) {
   Json data = Json::object();
@@ -151,13 +143,13 @@ TEST_F(SegmentFixture, CompactionGapFlagsSnapshotNeeded) {
   EXPECT_EQ(resumed.value().end_seq, 8u);
 }
 
-TEST_F(SegmentFixture, V1JournalIsNotStreamable) {
+TEST_F(SegmentFixture, JsonLinesJournalIsRejected) {
   write_raw(path_,
             "{\"seq\":1,\"t\":10,\"e\":\"job_submitted\",\"d\":{}}\n");
   auto segment = JobJournal::read_segment_file(path_, 0, kNoCap);
-  ASSERT_TRUE(segment.ok());
-  EXPECT_TRUE(segment.value().snapshot_needed);
-  EXPECT_TRUE(segment.value().bytes.empty());
+  ASSERT_FALSE(segment.ok());
+  EXPECT_NE(segment.error().message().find(path_), std::string::npos)
+      << segment.error().message();
 }
 
 TEST_F(SegmentFixture, ReadSegmentFileSalvagesCleanPrefixOfTornTail) {
@@ -227,6 +219,33 @@ TEST_F(SegmentFixture, ValidateFramesRejectsCorruptionAndReplay) {
   auto replayed = JobJournal::validate_frames(frames, 4);
   EXPECT_EQ(replayed.frames, 0u);
   EXPECT_EQ(replayed.end_seq, 0u);
+}
+
+TEST_F(SegmentFixture, ValidateFramesStopsWhereRecoveryWouldFail) {
+  // A shipped frame whose CRC is valid but whose declared type length
+  // runs past the frame: recovery rejects it, so the follower must not
+  // append it to its mirror (promotion would then fail to replay).
+  const std::string good_1 = wal_test::frame(1, "segment_test", "{}");
+  const std::string bad = wal_test::frame(2, "segment_test", "{}", 4096);
+  const std::string good_3 = wal_test::frame(3, "segment_test", "{}");
+  const std::string shipped = good_1 + bad + good_3;
+
+  const auto prefix = JobJournal::validate_frames(shipped, 0);
+  EXPECT_EQ(prefix.frames, 1u);
+  EXPECT_EQ(prefix.bytes, good_1.size());
+  EXPECT_EQ(prefix.end_seq, 1u);
+
+  // The same bytes as a journal file: replay names the frame, shipping
+  // serves only the frame before it.
+  write_raw(path_, std::string(wal_v2_magic()) + shipped);
+  auto replay = JobJournal::read_file(path_);
+  ASSERT_FALSE(replay.ok());
+  EXPECT_NE(replay.error().message().find("frame 2"), std::string::npos)
+      << replay.error().message();
+  auto segment = JobJournal::read_segment_file(path_, 0, kNoCap);
+  ASSERT_TRUE(segment.ok()) << segment.error().to_string();
+  EXPECT_EQ(segment.value().end_seq, 1u);
+  EXPECT_EQ(segment.value().bytes, good_1);
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "daemon/daemon.hpp"
 #include "net/http_client.hpp"
 #include "qrmi/local_emulator.hpp"
+#include "store/journal.hpp"
+#include "store/recovery.hpp"
 #include "store/state_store.hpp"
 
 namespace qcenv::daemon {
@@ -266,6 +268,50 @@ TEST_F(RecoveryRestartTest, UnplacingARecoveredJobIsJournaled) {
   ASSERT_EQ(recovered.value().jobs.size(), 1u);
   EXPECT_EQ(recovered.value().jobs[0].id, job_id);
   EXPECT_EQ(recovered.value().jobs[0].resource, "");
+}
+
+TEST_F(RecoveryRestartTest, CancelAfterRestartReplaysLikeMemory) {
+  // Place, restart, cancel. The restarted daemon unplaces the recovered
+  // unpinned job in memory, and the next compaction snapshot is taken
+  // from memory. A replay of the journal alone (a standby's mirror) must
+  // end on the same record, so the unplacing has to be journaled.
+  auto resource = qrmi::LocalEmulatorQrmi::create("emu", "sv").value();
+  DaemonOptions options;
+  options.store.data_dir = dir_.path();
+  const auto daemon_on = [&] {
+    return std::make_unique<MiddlewareDaemon>(options, resource, nullptr,
+                                              &clock_);
+  };
+  std::uint64_t job_id = 0;
+  {
+    auto daemon = daemon_on();
+    daemon->dispatcher().drain();
+    auto session = daemon->open_session("dave", JobClass::kTest);
+    ASSERT_TRUE(session.ok());
+    auto submitted =
+        daemon->submit_job(session.value().token, small_payload(20));
+    ASSERT_TRUE(submitted.ok());
+    job_id = submitted.value().id;
+    EXPECT_EQ(daemon->dispatcher().query(job_id).value().resource, "emu");
+  }
+  // Offline only so that no lane can run the job before the cancel.
+  resource->set_offline(true);
+  std::string resource_in_memory = "unset";
+  {
+    auto daemon = daemon_on();
+    daemon->dispatcher().drain();
+    ASSERT_TRUE(daemon->dispatcher().cancel(job_id).ok());
+    const auto job = daemon->dispatcher().query(job_id).value();
+    EXPECT_EQ(job.state, DaemonJobState::kCancelled);
+    resource_in_memory = job.resource;
+  }
+  auto journal = store::JobJournal::read_file(dir_.path() + "/journal.log");
+  ASSERT_TRUE(journal.ok()) << journal.error().to_string();
+  const store::RecoveredState replayed =
+      store::RecoveryReplayer::apply(std::nullopt, journal.value());
+  ASSERT_EQ(replayed.jobs.size(), 1u);
+  EXPECT_EQ(replayed.jobs[0].phase, store::JobPhase::kCancelled);
+  EXPECT_EQ(replayed.jobs[0].resource, resource_in_memory);
 }
 
 TEST(StoreDisabledTest, DaemonWithoutDataDirReportsDisabled) {
