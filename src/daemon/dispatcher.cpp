@@ -138,33 +138,55 @@ void Dispatcher::install_priority_hook() {
   for (auto& shard_ptr : shards_) {
     Shard* shard = shard_ptr.get();
     // Runs under shard->mutex (every core call site holds it), so the
-    // shard's records and the lambda's memo are safe; the accounting side
-    // locks internally and never calls back. The memo is the fair-share
-    // table of the pass's `now` (the core evaluates a whole pass at a
-    // single `now`), so a pass costs O(users) accounting work instead of
-    // O(users) per pending job — and, through fair_share_table, once per
-    // pass rather than once per shard.
+    // shard's interned names and the lambda's memo are safe; the
+    // accounting side locks internally and never calls back. The core
+    // asks once per bucket, and the key's user id indexes a per-pass
+    // factor cache: a pass costs one fair-share table (shared by every
+    // shard through fair_share_table) plus one lookup per user met.
     shard->core.set_priority_hook(
         [this, shard, memo = std::shared_ptr<const FairShareTable>{},
-         extra = std::map<std::string, double>{}](
-            std::uint64_t job_id, common::TimeNs now) mutable {
+         pass = std::uint64_t{0},
+         cache = std::vector<std::pair<std::uint64_t, double>>{}](
+            std::uint64_t key, common::TimeNs now) mutable {
           if (memo == nullptr || memo->now != now) {
             memo = fair_share_table(now);
-            extra.clear();
+            ++pass;
           }
-          const std::string& user = shard->active.at(job_id)->job.user;
-          if (const auto it = memo->factors.find(user);
-              it != memo->factors.end()) {
-            return it->second;
+          const auto user = static_cast<std::size_t>(key >> 32);
+          if (user >= cache.size()) cache.resize(shard->names.size());
+          auto& [stamp, factor] = cache[user];
+          if (stamp != pass) {
+            stamp = pass;
+            const std::string& name = shard->names[user];
+            const auto it = memo->factors.find(name);
+            // A user outside the known population (no usage/grant yet).
+            factor = it != memo->factors.end()
+                         ? it->second
+                         : accounting_->priority(name, now);
           }
-          // A user outside the known population (no usage/grant yet).
-          auto it = extra.find(user);
-          if (it == extra.end()) {
-            it = extra.emplace(user, accounting_->priority(user, now)).first;
-          }
-          return it->second;
+          return factor;
         });
   }
+}
+
+std::uint32_t Dispatcher::Shard::intern(const std::string& name) {
+  const auto [it, added] =
+      ids.try_emplace(name, static_cast<std::uint32_t>(names.size()));
+  if (added) names.push_back(name);
+  return it->second;
+}
+
+std::uint64_t Dispatcher::queue_key(Shard& shard, const std::string& user,
+                                    const std::string& resource) {
+  return static_cast<std::uint64_t>(shard.intern(user)) << 32 |
+         shard.intern(resource);
+}
+
+void Dispatcher::place_locked(Shard& shard, Record& record,
+                              std::string resource) {
+  record.job.resource = std::move(resource);
+  shard.core.rekey(record.job.id,
+                   queue_key(shard, record.job.user, record.job.resource));
 }
 
 std::shared_ptr<const Dispatcher::FairShareTable>
@@ -406,7 +428,8 @@ Result<std::uint64_t> Dispatcher::submit(
     // The job id doubles as the queue seq: one global allocator keeps
     // cross-shard FIFO order identical to a single shared queue.
     shard.core.enqueue(id, cls, record.job.total_shots,
-                       record.job.submit_time, id);
+                       record.job.submit_time, id,
+                       queue_key(shard, user, record.job.resource));
     total_queued_.fetch_add(1, std::memory_order_relaxed);
     ++shard.user_pending[user];
     ++shard.user_slo[user].submitted;
@@ -772,13 +795,13 @@ std::optional<Dispatcher::PendingView> Dispatcher::for_each_ahead(
     pivot = *head;
     me = pending_view(home->records.at(job_id), pivot);
   }
-  // Each shard is scanned once under its own lock; nothing is sorted or
-  // copied, so a deep queue costs one pass, not a merge of sorted copies.
+  // Each shard is visited once under its own lock, one aggregate per
+  // bucket: a deep queue costs O(buckets), not a pass over every job.
   for (const auto& shard : shards_) {
     std::scoped_lock lock(shard->mutex);
-    shard->core.for_each_before(
-        pivot, now, [&](const PriorityQueueCore::Head& head) {
-          visit(me, head, shard->active.at(head.job_id)->job.user);
+    shard->core.count_before(
+        pivot, now, [&](const PriorityQueueCore::BucketAhead& ahead) {
+          visit(me, ahead, shard->names[ahead.key >> 32]);
         });
   }
   return me;
@@ -1175,8 +1198,10 @@ void Dispatcher::restore(const std::vector<store::JobRecord>& jobs,
           std::min(record.job.shots_done, record.job.total_shots);
       // seq = id, same as live submissions: recovered jobs keep their
       // original cross-shard FIFO order.
-      shard.core.enqueue(recovered.id, recovered.job_class, remaining,
-                         recovered.submit_time, recovered.id);
+      shard.core.enqueue(
+          recovered.id, recovered.job_class, remaining,
+          recovered.submit_time, recovered.id,
+          queue_key(shard, record.job.user, record.job.resource));
       total_queued_.fetch_add(1, std::memory_order_relaxed);
       ++shard.user_pending[record.job.user];
       if (accounting_ != nullptr) {
@@ -1375,11 +1400,11 @@ void Dispatcher::reassign_from(const std::string& lane) {
                                    .resource_hint = {},
                                    .exclude = lane});
       if (repick.ok()) {
-        record.job.resource = std::move(repick).value();
+        place_locked(*shard, record, std::move(repick).value());
         ++moved;
       } else {
         // Nothing healthy: the job waits unplaced for any lane to recover.
-        record.job.resource.clear();
+        place_locked(*shard, record, "");
         ++stranded;
       }
       if (store_ != nullptr) {
@@ -1421,10 +1446,14 @@ void Dispatcher::reassign_from(const std::string& lane) {
 Dispatcher::DispatchOutcome Dispatcher::dispatch_one(
     const std::string& lane, const qrmi::QrmiPtr& resource) {
   const common::TimeNs now = clock_->now();
-  const auto eligible_in = [&](Shard& shard) {
-    return [&shard, &lane](std::uint64_t job_id) {
-      const std::string& placed = shard.active.at(job_id)->job.resource;
-      return placed == lane || placed.empty();
+  // A queue key's low half is its placement: unplaced (0) or this lane's
+  // id in the shard (none when no job there was ever placed on it).
+  const auto eligible_in = [&lane](const Shard& shard) {
+    const auto it = shard.ids.find(lane);
+    const std::uint32_t mine = it != shard.ids.end() ? it->second : 0;
+    return [mine](std::uint64_t key) {
+      const auto placed = static_cast<std::uint32_t>(key);
+      return placed == 0 || placed == mine;
     };
   };
   // Tournament: peek every shard's best eligible head under that shard's
@@ -1482,7 +1511,7 @@ Dispatcher::DispatchOutcome Dispatcher::dispatch_one(
         total_queued_.fetch_add(1, std::memory_order_relaxed);
         return DispatchOutcome::kIdle;  // lane became unusable: back off
       }
-      record.job.resource = lane;
+      place_locked(shard, record, lane);
       if (store_ != nullptr) store_->job_placed(batch->job_id, lane);
     }
     if (record.cancel_requested) {
@@ -1640,7 +1669,7 @@ Dispatcher::DispatchOutcome Dispatcher::dispatch_one(
           ++shard.user_pending[record.job.user];
         }
         broker_->unbind(lane);
-        record.job.resource = std::move(repick).value();
+        place_locked(shard, record, std::move(repick).value());
         if (store_ != nullptr) {
           store_->batch_failed(batch->job_id, lane, batch->shots,
                                outcome.error().to_string());

@@ -216,10 +216,12 @@ class Dispatcher {
   broker::ResourceBroker& broker() noexcept { return *broker_; }
   const broker::ResourceBroker& broker() const noexcept { return *broker_; }
 
+  /// Queued jobs per class: each shard core's per-class counts, read
+  /// under its lock (status endpoints and scrapes).
   std::map<JobClass, std::size_t> queue_depths() const;
   /// Jobs currently queued across all shards — one relaxed atomic load,
   /// for the admission boundary's depth limit on the submit hot path
-  /// (queue_depths() walks every shard and is for status endpoints).
+  /// (queue_depths() locks every shard).
   std::size_t queued_total() const noexcept {
     return total_queued_.load(std::memory_order_relaxed);
   }
@@ -251,15 +253,19 @@ class Dispatcher {
   };
   PendingSnapshot pending_snapshot() const;
 
-  /// ETA-engine introspection: visits every pending job that dispatches
-  /// before `job_id` at `now` (head_before against the job's own keys), in
-  /// no particular order, with its ordering keys and user, next to `me`,
-  /// the job's own view. Each shard is scanned once under its own lock —
-  /// no sort, no copy of the queue. Returns `me`; nullopt (and no visits)
-  /// when the job is not pending.
-  using AheadFn = std::function<void(const PendingView& me,
-                                     const PriorityQueueCore::Head& entry,
-                                     const std::string& user)>;
+  /// ETA-engine introspection: counts the pending jobs that dispatch
+  /// before `job_id` at `now` (head_before against the job's own keys).
+  /// Visits, in no particular order, one aggregate per queue bucket (one
+  /// user's jobs of one class on one placement) — job count, batches owed
+  /// and the bucket's fair-share factor — with the bucket's user, next to
+  /// `me`, the job's own view. Each shard is visited once under its own
+  /// lock; only a bucket the job's position splits is walked, from its
+  /// shorter side, so the cost follows the number of buckets, not the
+  /// queue depth. Returns `me`; nullopt (and no visits) when the job is
+  /// not pending.
+  using AheadFn = std::function<void(
+      const PendingView& me, const PriorityQueueCore::BucketAhead& ahead,
+      const std::string& user)>;
   std::optional<PendingView> for_each_ahead(std::uint64_t job_id,
                                             common::TimeNs now,
                                             const AheadFn& visit) const;
@@ -378,11 +384,17 @@ class Dispatcher {
     std::condition_variable cv;
     PriorityQueueCore core;
     std::map<std::uint64_t, Record> records;
+    /// Users and placements interned as small ids (names[id]); a queue
+    /// key is (user id << 32 | placement id), placement "" (unplaced) is
+    /// id 0. Ids are never reused, so a key stays valid for the shard's
+    /// lifetime.
+    std::unordered_map<std::string, std::uint32_t> ids{{"", 0}};
+    std::vector<std::string> names{""};
+    std::uint32_t intern(const std::string& name);
     /// Non-terminal jobs by id -> their record (map nodes never move).
-    /// Queue scans resolve each entry's user and placement here in O(1)
-    /// instead of searching every record ever kept, and per-lane queue
-    /// reporting stays O(live jobs) while records retains every terminal
-    /// job for result serving.
+    /// Per-lane queue reporting, failover and session cancels stay
+    /// O(live jobs) while records retains every terminal job for result
+    /// serving.
     std::unordered_map<std::uint64_t, Record*> active;
     /// Terminal job ids in finish order (oldest first) — the GC's LRU.
     std::deque<std::uint64_t> terminal_order;
@@ -411,6 +423,14 @@ class Dispatcher {
   std::shared_ptr<const FairShareTable> fair_share_table(
       common::TimeNs now) const;
   Shard& shard_for_user(const std::string& user) const;
+  /// The queue-core bucket key of `user`'s jobs placed on `resource`.
+  static std::uint64_t queue_key(Shard& shard, const std::string& user,
+                                 const std::string& resource);
+  /// Re-places `record` on `resource` ("" = unplaced) and moves its queue
+  /// entry, pending or in flight, to the matching bucket. Caller holds
+  /// `shard.mutex`.
+  static void place_locked(Shard& shard, Record& record,
+                           std::string resource);
   /// Shard holding `job_id` (via the striped index), or nullptr. The
   /// mapping is immutable for a job's lifetime; the stripe lock is
   /// released before any shard lock is taken, so the two never nest.

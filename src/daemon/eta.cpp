@@ -48,16 +48,6 @@ Json EtaEstimate::to_json() const {
   return out;
 }
 
-std::uint64_t EtaEngine::batches_of(JobClass cls,
-                                    std::uint64_t shots) const {
-  if (shots == 0) return 0;
-  const std::uint64_t batch = deps_.policy.non_production_batch_shots;
-  // The queue core dispatches production jobs whole and slices the rest
-  // (queue_core.cpp take()); the backlog model must count the same way.
-  if (batch == 0 || cls == JobClass::kProduction) return 1;
-  return (shots + batch - 1) / batch;
-}
-
 common::DurationNs EtaEngine::historical_batch_latency(
     common::TimeNs now) const {
   if (deps_.tsdb == nullptr || deps_.broker == nullptr) {
@@ -172,14 +162,15 @@ EtaEngine::QueuePosition EtaEngine::position_of(std::uint64_t job_id,
   out.me = deps_.dispatcher->for_each_ahead(
       job_id, now,
       [&](const Dispatcher::PendingView& me,
-          const PriorityQueueCore::Head& entry, const std::string& user) {
-        ++out.jobs_ahead;
-        out.batches_ahead += batches_of(entry.cls, entry.remaining_shots);
-        if (entry.has_hook && me.has_hook && user != me.user &&
-            entry.hook > me.hook + 1e-9) {
-          ++out.better_ranked;
-          auto [it, inserted] = out.outranking.try_emplace(user, entry.hook);
-          if (!inserted) it->second = std::max(it->second, entry.hook);
+          const PriorityQueueCore::BucketAhead& ahead,
+          const std::string& user) {
+        out.jobs_ahead += ahead.jobs;
+        out.batches_ahead += ahead.batches;
+        if (ahead.has_hook && me.has_hook && user != me.user &&
+            ahead.hook > me.hook + 1e-9) {
+          out.better_ranked += ahead.jobs;
+          auto [it, inserted] = out.outranking.try_emplace(user, ahead.hook);
+          if (!inserted) it->second = std::max(it->second, ahead.hook);
         }
       });
   return out;
@@ -220,7 +211,9 @@ Result<EtaEstimate> EtaEngine::estimate(std::uint64_t job_id) const {
     out.start_earliest = job.first_dispatch_time;
     out.start_latest = job.first_dispatch_time;
     const std::uint64_t own =
-        batches_of(job.job_class, job.total_shots - job.shots_done) + 1;
+        batches_needed(deps_.policy, job.job_class,
+                       job.total_shots - job.shots_done) +
+        1;
     out.bounded = !deps_.dispatcher->draining();
     out.confidence = out.bounded ? options_.confidence : 0.0;
     out.finish_earliest = now;
@@ -262,7 +255,8 @@ Result<EtaEstimate> EtaEngine::estimate(std::uint64_t job_id) const {
     out.start_latest =
         now + options_.start_slack +
         static_cast<common::DurationNs>(options_.margin * backlog);
-    const std::uint64_t own = batches_of(job.job_class, job.total_shots);
+    const std::uint64_t own =
+        batches_needed(deps_.policy, job.job_class, job.total_shots);
     out.finish_latest =
         out.start_latest + options_.finish_slack +
         static_cast<common::DurationNs>(options_.margin *

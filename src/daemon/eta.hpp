@@ -6,9 +6,10 @@
 //  - estimate(): for any job, a predicted start/finish window with
 //    confidence bounds. For pending jobs it aggregates over the jobs that
 //    dispatch before it — count, batches owed, better fair-share ranks —
-//    in one unsorted pass over the shards (Dispatcher::for_each_ahead,
-//    the queue core's exact comparator against the job's own keys), so a
-//    deep queue costs no sort and no copy. That is combined with
+//    from per-bucket totals (Dispatcher::for_each_ahead: one aggregate
+//    per (user, class, placement) bucket, cut by the queue core's exact
+//    comparator against the job's own keys), so a deep queue costs
+//    O(buckets), not a visit per job ahead. That is combined with
 //    per-resource drain/health from the broker and historical per-batch
 //    execute latency from the TSDB's scraped daemon_stage_seconds
 //    histogram series. Served at GET /v1/jobs/:id/eta and embedded in
@@ -141,8 +142,6 @@ class EtaEngine {
     std::map<std::string, double> outranking;
   };
   QueuePosition position_of(std::uint64_t job_id, common::TimeNs now) const;
-  /// Batches one pending entry still owes (the queue core's slicing rule).
-  std::uint64_t batches_of(JobClass cls, std::uint64_t shots) const;
   /// Time within [begin, end] during which NO lane could dispatch work
   /// eligible for the job: global drain, or every fleet resource (or the
   /// pinned one) down/draining — reconstructed from event-log

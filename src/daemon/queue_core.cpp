@@ -21,6 +21,43 @@ common::Result<JobClass> job_class_from_string(const std::string& text) {
   return common::err::invalid_argument("unknown job class: " + text);
 }
 
+std::uint64_t batches_needed(const QueuePolicy& policy, JobClass cls,
+                             std::uint64_t shots) noexcept {
+  if (shots == 0) return 0;
+  const std::uint64_t slice = policy.non_production_batch_shots;
+  if (slice == 0 || cls == JobClass::kProduction) return 1;
+  return shots / slice + (shots % slice != 0 ? 1 : 0);
+}
+
+namespace {
+
+std::size_t class_index(JobClass cls) {
+  return static_cast<std::size_t>(class_rank(cls));
+}
+
+/// The first position in `fifo` whose seq is not below `seq`. The ends are
+/// checked first: arrivals append, takes leave from the front and returning
+/// batches re-enter there, so the search is the rare case.
+template <typename Fifo>
+auto seq_position(Fifo& fifo, std::uint64_t seq) {
+  if (fifo.empty() || fifo.front()->seq >= seq) return fifo.begin();
+  if (fifo.back()->seq < seq) return fifo.end();
+  return std::lower_bound(
+      fifo.begin(), fifo.end(), seq,
+      [](const auto* entry, std::uint64_t value) {
+        return entry->seq < value;
+      });
+}
+
+/// True when both entries exist and `a`, though first in seq order, was
+/// enqueued after `b`.
+template <typename Entry>
+bool descends(const Entry* a, const Entry* b) {
+  return a != nullptr && b != nullptr && a->enqueue_time > b->enqueue_time;
+}
+
+}  // namespace
+
 void PriorityQueueCore::enqueue(std::uint64_t job_id, JobClass cls,
                                 std::uint64_t total_shots,
                                 common::TimeNs now) {
@@ -29,18 +66,84 @@ void PriorityQueueCore::enqueue(std::uint64_t job_id, JobClass cls,
 
 void PriorityQueueCore::enqueue(std::uint64_t job_id, JobClass cls,
                                 std::uint64_t total_shots, common::TimeNs now,
-                                std::uint64_t seq) {
+                                std::uint64_t seq,
+                                std::optional<std::uint64_t> key) {
   assert(entries_.count(job_id) == 0 && in_flight_.count(job_id) == 0 &&
          "job already queued");
   Entry entry;
   entry.job_id = job_id;
+  entry.key = key.value_or(job_id);
   entry.cls = cls;
   entry.remaining_shots = total_shots;
   entry.total_shots = total_shots;
   entry.enqueue_time = now;
   entry.seq = seq;
   if (next_seq_ <= seq) next_seq_ = seq + 1;
-  entries_.emplace(job_id, entry);
+  const auto [it, added] = entries_.emplace(job_id, entry);
+  if (added) insert_pending(it->second);
+}
+
+void PriorityQueueCore::insert_pending(const Entry& entry) {
+  const std::size_t cls = class_index(entry.cls);
+  auto [it, created] = buckets_[cls].try_emplace(entry.key);
+  Bucket& bucket = it->second;
+  if (created) {
+    bucket.key = entry.key;
+    bucket.cls = entry.cls;
+    bucket.slot = live_.size();
+    live_.push_back(&bucket);
+  }
+  auto& fifo = bucket.fifo;
+  const auto pos = seq_position(fifo, entry.seq);
+  const Entry* prev = pos == fifo.begin() ? nullptr : *(pos - 1);
+  const Entry* next = pos == fifo.end() ? nullptr : *pos;
+  if (descends(prev, next)) --bucket.inversions;
+  if (descends(prev, &entry)) ++bucket.inversions;
+  if (descends(&entry, next)) ++bucket.inversions;
+  fifo.insert(pos, &entry);
+  bucket.batches += batches_needed(policy_, entry.cls, entry.remaining_shots);
+  ++class_depth_[cls];
+}
+
+void PriorityQueueCore::erase_pending(const Entry& entry) {
+  const std::size_t cls = class_index(entry.cls);
+  const auto it = buckets_[cls].find(entry.key);
+  assert(it != buckets_[cls].end() && "pending entry without a bucket");
+  Bucket& bucket = it->second;
+  auto& fifo = bucket.fifo;
+  const auto pos = seq_position(fifo, entry.seq);
+  assert(pos != fifo.end() && *pos == &entry);
+  const Entry* prev = pos == fifo.begin() ? nullptr : *(pos - 1);
+  const Entry* next = pos + 1 == fifo.end() ? nullptr : *(pos + 1);
+  if (descends(prev, &entry)) --bucket.inversions;
+  if (descends(&entry, next)) --bucket.inversions;
+  if (descends(prev, next)) ++bucket.inversions;
+  fifo.erase(pos);
+  bucket.batches -= batches_needed(policy_, entry.cls, entry.remaining_shots);
+  --class_depth_[cls];
+  if (fifo.empty()) {
+    Bucket* moved = live_.back();
+    live_[bucket.slot] = moved;
+    moved->slot = bucket.slot;
+    live_.pop_back();
+    buckets_[cls].erase(it);
+  }
+}
+
+bool PriorityQueueCore::rekey(std::uint64_t job_id, std::uint64_t key) {
+  if (const auto it = entries_.find(job_id); it != entries_.end()) {
+    if (it->second.key != key) {
+      erase_pending(it->second);
+      it->second.key = key;
+      insert_pending(it->second);
+    }
+    return true;
+  }
+  if (const auto it = in_flight_.find(job_id); it != in_flight_.end()) {
+    it->second.key = key;  // batch_done/batch_failed re-insert it there
+    return true;
+  }
+  return false;
 }
 
 int PriorityQueueCore::effective_rank(const Entry& entry,
@@ -56,19 +159,39 @@ int PriorityQueueCore::effective_rank(const Entry& entry,
 }
 
 PriorityQueueCore::Head PriorityQueueCore::head_of(const Entry& entry,
-                                                   int rank,
-                                                   common::TimeNs now) const {
+                                                   common::TimeNs now,
+                                                   bool has_hook,
+                                                   double hook) const {
   Head head;
   head.job_id = entry.job_id;
   head.cls = entry.cls;
-  head.rank = rank;
-  if (priority_hook_) {
-    head.has_hook = true;
-    head.hook = priority_hook_(entry.job_id, now);
-  }
+  head.rank = effective_rank(entry, now);
+  head.has_hook = has_hook;
+  head.hook = hook;
   head.remaining_shots = entry.remaining_shots;
   head.seq = entry.seq;
   return head;
+}
+
+bool PriorityQueueCore::ordered(const Bucket& bucket) const {
+  return !policy_.shortest_first_within_class && bucket.inversions == 0;
+}
+
+const PriorityQueueCore::Entry& PriorityQueueCore::bucket_head(
+    const Bucket& bucket, common::TimeNs now) const {
+  const Entry* best = bucket.fifo.front();
+  if (ordered(bucket)) return *best;
+  // Every entry shares the bucket's hook value, so it drops out of the
+  // comparison.
+  Head best_head = head_of(*best, now, false, 0.0);
+  for (const Entry* entry : bucket.fifo) {
+    const Head head = head_of(*entry, now, false, 0.0);
+    if (head_before(head, best_head, policy_.shortest_first_within_class)) {
+      best = entry;
+      best_head = head;
+    }
+  }
+  return *best;
 }
 
 std::optional<Batch> PriorityQueueCore::next_batch(common::TimeNs now) {
@@ -84,16 +207,20 @@ std::optional<Batch> PriorityQueueCore::next_batch(
 
 std::optional<PriorityQueueCore::Head> PriorityQueueCore::peek_head(
     common::TimeNs now, const EligibleFn& eligible) const {
-  // One min-scan: seqs are unique, so head_before is a total order and
-  // the minimum eligible entry is exactly the first eligible entry of the
-  // full dispatch order. An entry ranked worse than the best so far can
-  // never win, so its hook is not evaluated.
+  // The winner is some eligible bucket's head. Seqs are unique, so
+  // head_before is a total order and the minimum is exactly the first
+  // eligible entry of the full dispatch order. A head ranked worse than
+  // the best so far can never win, so its hook is not evaluated.
   std::optional<Head> best;
-  for (const auto& [job_id, entry] : entries_) {
-    if (!eligible(job_id)) continue;
-    const int rank = effective_rank(entry, now);
-    if (best.has_value() && rank > best->rank) continue;
-    const Head head = head_of(entry, rank, now);
+  for (const Bucket* bucket : live_) {
+    if (!eligible(bucket->key)) continue;
+    const Entry& entry = bucket_head(*bucket, now);
+    if (best.has_value() && effective_rank(entry, now) > best->rank) {
+      continue;
+    }
+    const bool has_hook = static_cast<bool>(priority_hook_);
+    const Head head = head_of(entry, now, has_hook,
+                              has_hook ? priority_hook_(bucket->key, now) : 0);
     if (!best.has_value() ||
         head_before(head, *best, policy_.shortest_first_within_class)) {
       best = head;
@@ -102,35 +229,117 @@ std::optional<PriorityQueueCore::Head> PriorityQueueCore::peek_head(
   return best;
 }
 
+void PriorityQueueCore::walk_before(
+    const Head& pivot, common::TimeNs now,
+    const std::function<void(const Bucket&, const Cut&)>& visit) const {
+  const bool shortest_first = policy_.shortest_first_within_class;
+  for (const Bucket* bucket : live_) {
+    const auto& fifo = bucket->fifo;
+    const bool is_ordered = ordered(*bucket);
+    // In an ordered bucket the first entry ranks best: if even it ranks
+    // worse than the pivot, nothing here precedes it.
+    if (is_ordered && effective_rank(*fifo.front(), now) > pivot.rank) {
+      continue;
+    }
+    Cut cut;
+    cut.has_hook = static_cast<bool>(priority_hook_);
+    if (cut.has_hook) cut.hook = priority_hook_(bucket->key, now);
+    if (is_ordered) {
+      // The entries before the pivot are a prefix: find where it ends.
+      const auto before = [&](const Entry* entry) {
+        return head_before(head_of(*entry, now, cut.has_hook, cut.hook),
+                           pivot, shortest_first);
+      };
+      if (!before(fifo.front())) continue;
+      cut.prefix = before(fifo.back())
+                       ? fifo.size()
+                       : static_cast<std::size_t>(
+                             std::partition_point(fifo.begin() + 1,
+                                                  fifo.end() - 1, before) -
+                             fifo.begin());
+    }
+    visit(*bucket, cut);
+  }
+}
+
+void PriorityQueueCore::count_before(
+    const Head& pivot, common::TimeNs now,
+    const std::function<void(const BucketAhead&)>& visit) const {
+  walk_before(pivot, now, [&](const Bucket& bucket, const Cut& cut) {
+    BucketAhead ahead;
+    ahead.key = bucket.key;
+    ahead.cls = bucket.cls;
+    ahead.has_hook = cut.has_hook;
+    ahead.hook = cut.hook;
+    const auto& fifo = bucket.fifo;
+    const auto batches = [&](const Entry* entry) {
+      return batches_needed(policy_, entry->cls, entry->remaining_shots);
+    };
+    if (cut.prefix.has_value()) {
+      // Sum the shorter side: the pivot's own bucket usually ends at it.
+      const std::size_t prefix = *cut.prefix;
+      ahead.jobs = prefix;
+      if (prefix <= fifo.size() - prefix) {
+        for (std::size_t i = 0; i < prefix; ++i) {
+          ahead.batches += batches(fifo[i]);
+        }
+      } else {
+        ahead.batches = bucket.batches;
+        for (std::size_t i = prefix; i < fifo.size(); ++i) {
+          ahead.batches -= batches(fifo[i]);
+        }
+      }
+    } else {
+      for (const Entry* entry : fifo) {
+        if (head_before(head_of(*entry, now, cut.has_hook, cut.hook), pivot,
+                        policy_.shortest_first_within_class)) {
+          ++ahead.jobs;
+          ahead.batches += batches(entry);
+        }
+      }
+    }
+    if (ahead.jobs > 0) visit(ahead);
+  });
+}
+
 void PriorityQueueCore::for_each_before(
     const Head& pivot, common::TimeNs now,
     const std::function<void(const Head&)>& visit) const {
-  for (const auto& [_, entry] : entries_) {
-    const int rank = effective_rank(entry, now);
-    if (rank > pivot.rank) continue;  // cannot precede the pivot
-    const Head head = head_of(entry, rank, now);
-    if (head_before(head, pivot, policy_.shortest_first_within_class)) {
-      visit(head);
+  walk_before(pivot, now, [&](const Bucket& bucket, const Cut& cut) {
+    const std::size_t end = cut.prefix.value_or(bucket.fifo.size());
+    for (std::size_t i = 0; i < end; ++i) {
+      const Head head =
+          head_of(*bucket.fifo[i], now, cut.has_hook, cut.hook);
+      if (cut.prefix.has_value() ||
+          head_before(head, pivot, policy_.shortest_first_within_class)) {
+        visit(head);
+      }
     }
-  }
+  });
 }
 
 std::optional<PriorityQueueCore::Head> PriorityQueueCore::head_of(
     std::uint64_t job_id, common::TimeNs now) const {
   const auto it = entries_.find(job_id);
   if (it == entries_.end()) return std::nullopt;
-  return head_of(it->second, effective_rank(it->second, now), now);
+  const bool has_hook = static_cast<bool>(priority_hook_);
+  return head_of(it->second, now, has_hook,
+                 has_hook ? priority_hook_(it->second.key, now) : 0);
 }
 
 std::vector<PriorityQueueCore::Head> PriorityQueueCore::snapshot_heads(
     common::TimeNs now) const {
-  // The hook is evaluated once per entry, not once per comparison: it may
-  // consult the accounting subsystem, and the sort must see one
-  // consistent priority per job for the whole pass.
+  // The hook is evaluated once per bucket, not once per comparison: it
+  // may consult the accounting subsystem, and the sort must see one
+  // consistent priority per key for the whole pass.
   std::vector<Head> heads;
   heads.reserve(entries_.size());
-  for (const auto& [_, entry] : entries_) {
-    heads.push_back(head_of(entry, effective_rank(entry, now), now));
+  const bool has_hook = static_cast<bool>(priority_hook_);
+  for (const Bucket* bucket : live_) {
+    const double hook = has_hook ? priority_hook_(bucket->key, now) : 0;
+    for (const Entry* entry : bucket->fifo) {
+      heads.push_back(head_of(*entry, now, has_hook, hook));
+    }
   }
   std::sort(heads.begin(), heads.end(), [&](const Head& a, const Head& b) {
     return head_before(a, b, policy_.shortest_first_within_class);
@@ -151,9 +360,10 @@ bool PriorityQueueCore::head_before(const Head& a, const Head& b,
 }
 
 std::optional<Batch> PriorityQueueCore::take(std::uint64_t job_id) {
-  const auto it = entries_.find(job_id);
-  if (it == entries_.end()) return std::nullopt;
-  const Entry& head = it->second;
+  auto node = entries_.extract(job_id);
+  if (node.empty()) return std::nullopt;
+  const Entry& head = node.mapped();
+  erase_pending(head);
   Batch batch;
   batch.job_id = head.job_id;
   batch.cls = head.cls;
@@ -164,57 +374,39 @@ std::optional<Batch> PriorityQueueCore::take(std::uint64_t job_id) {
                                policy_.non_production_batch_shots)
                     : head.remaining_shots;
   batch.final_batch = batch.shots >= head.remaining_shots;
-
-  // Move the entry to the in-flight set.
-  in_flight_.emplace(it->first, it->second);
-  entries_.erase(it);
+  in_flight_.insert(std::move(node));
   return batch;
 }
 
 void PriorityQueueCore::batch_done(const Batch& batch) {
-  const auto it = in_flight_.find(batch.job_id);
-  assert(it != in_flight_.end() && "batch_done for unknown dispatch");
-  Entry entry = it->second;
-  in_flight_.erase(it);
+  auto node = in_flight_.extract(batch.job_id);
+  assert(!node.empty() && "batch_done for unknown dispatch");
+  Entry& entry = node.mapped();
   assert(batch.shots <= entry.remaining_shots);
   entry.remaining_shots -= batch.shots;
   if (entry.remaining_shots > 0) {
-    // Keep the original seq: the job resumes its place within its class.
-    entries_.emplace(entry.job_id, entry);
+    // Keep the original seq: the job resumes its place within its bucket.
+    insert_pending(entries_.insert(std::move(node)).position->second);
   }
-}
-
-bool PriorityQueueCore::any_pending(const EligibleFn& eligible) const {
-  for (const auto& [job_id, _] : entries_) {
-    if (eligible(job_id)) return true;
-  }
-  return false;
 }
 
 void PriorityQueueCore::batch_failed(const Batch& batch) {
-  const auto it = in_flight_.find(batch.job_id);
-  assert(it != in_flight_.end() && "batch_failed for unknown dispatch");
-  Entry entry = it->second;
-  in_flight_.erase(it);
+  auto node = in_flight_.extract(batch.job_id);
+  assert(!node.empty() && "batch_failed for unknown dispatch");
   // The shots were never executed: the entry returns untouched, keeping its
   // seq so the job resumes its place once a healthy resource claims it.
-  entries_.emplace(entry.job_id, entry);
+  insert_pending(entries_.insert(std::move(node)).position->second);
 }
 
 bool PriorityQueueCore::remove(std::uint64_t job_id) {
-  return entries_.erase(job_id) > 0;
+  auto node = entries_.extract(job_id);
+  if (node.empty()) return false;
+  erase_pending(node.mapped());
+  return true;
 }
 
 bool PriorityQueueCore::pending(std::uint64_t job_id) const {
   return entries_.count(job_id) > 0;
-}
-
-std::size_t PriorityQueueCore::depth_of(JobClass cls) const {
-  std::size_t count = 0;
-  for (const auto& [_, entry] : entries_) {
-    if (entry.cls == cls) ++count;
-  }
-  return count;
 }
 
 std::vector<std::uint64_t> PriorityQueueCore::snapshot(

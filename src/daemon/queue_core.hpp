@@ -14,12 +14,13 @@
 //    experiences to one small batch instead of a whole job.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -71,23 +72,50 @@ struct Batch {
   bool final_batch = true;
 };
 
+/// Batches a job of `cls` with `shots` left still owes under `policy`:
+/// production jobs dispatch whole, the rest in slices of at most
+/// `non_production_batch_shots` (the rule take() applies).
+std::uint64_t batches_needed(const QueuePolicy& policy, JobClass cls,
+                             std::uint64_t shots) noexcept;
+
+/// Pending jobs live in FIFO buckets, one per (key, class), each ordered
+/// by seq. A key groups jobs the caller treats alike: the priority hook
+/// and the eligibility test are functions of the key, never of the job,
+/// so every entry of a bucket shares its hook value and its eligibility
+/// (the dispatcher's key is (user, placement); the default is the job id,
+/// one job per bucket). Only non-empty buckets are kept.
+///
+/// Bucket invariant: when shortest-first is off and enqueue times are
+/// non-decreasing in seq across a bucket, its entries are already in
+/// dispatch order — the oldest entry has the best aged rank and the
+/// lowest seq — so the first entry is the bucket's head and the entries
+/// before any pivot form a prefix. Live submits meet this (one user's
+/// submits serialize on a steady clock). Any other bucket — every bucket
+/// in shortest-first mode, restored jobs whose clock restarted, callers
+/// with arbitrary times — is scanned entry by entry instead. A head
+/// selection thus costs O(non-empty buckets), not O(pending jobs).
 class PriorityQueueCore {
  public:
   explicit PriorityQueueCore(QueuePolicy policy = {}) : policy_(policy) {}
+  // Buckets point into the core's own tables: a copy would point into the
+  // source, while a move carries every node along.
+  PriorityQueueCore(const PriorityQueueCore&) = delete;
+  PriorityQueueCore& operator=(const PriorityQueueCore&) = delete;
+  PriorityQueueCore(PriorityQueueCore&&) = default;
+  PriorityQueueCore& operator=(PriorityQueueCore&&) = default;
 
   const QueuePolicy& policy() const noexcept { return policy_; }
 
-  /// Pluggable per-job priority within an effective-rank tier: jobs whose
+  /// Pluggable per-key priority within an effective-rank tier: jobs whose
   /// hook value is HIGHER dispatch first (ties fall through to
   /// shortest-first, then FIFO seq). The fair-share scheduler hands the
   /// under-served user's jobs forward through this. The hook must be a
-  /// deterministic function of (job_id, now), evaluated under the caller's
-  /// lock: at most once per eligible entry per head scan (peek_head,
-  /// next_batch, for_each_before skip entries whose class rank already
-  /// loses) and once per entry per full-order pass (snapshot_heads) — so
-  /// virtual-time benches replay identically. Unset = pure FIFO tiers.
+  /// deterministic function of (key, now), evaluated under the caller's
+  /// lock: at most once per bucket per pass (head scans skip buckets whose
+  /// class rank already loses) — so virtual-time benches replay
+  /// identically. Unset = pure FIFO tiers.
   using PriorityHook =
-      std::function<double(std::uint64_t job_id, common::TimeNs now)>;
+      std::function<double(std::uint64_t key, common::TimeNs now)>;
   void set_priority_hook(PriorityHook hook) {
     priority_hook_ = std::move(hook);
   }
@@ -96,16 +124,23 @@ class PriorityQueueCore {
   void enqueue(std::uint64_t job_id, JobClass cls, std::uint64_t total_shots,
                common::TimeNs now);
 
-  /// Same, with a caller-supplied FIFO sequence number. The sharded
-  /// dispatcher allocates seqs from ONE global counter so a tournament
-  /// over per-shard heads (peek_head + head_before) reproduces exactly
-  /// the dispatch order a single shared queue would have produced.
+  /// Same, with a caller-supplied FIFO sequence number and bucket key
+  /// (default: the job id). The sharded dispatcher allocates seqs from ONE
+  /// global counter so a tournament over per-shard heads (peek_head +
+  /// head_before) reproduces exactly the dispatch order a single shared
+  /// queue would have produced.
   void enqueue(std::uint64_t job_id, JobClass cls, std::uint64_t total_shots,
-               common::TimeNs now, std::uint64_t seq);
+               common::TimeNs now, std::uint64_t seq,
+               std::optional<std::uint64_t> key = std::nullopt);
 
-  /// Jobs a dispatch lane may serve (multi-resource dispatch: each lane
-  /// passes the jobs placed on — or placeable on — its resource).
-  using EligibleFn = std::function<bool(std::uint64_t job_id)>;
+  /// Moves a pending or in-flight job to bucket `key` (its placement
+  /// changed); an in-flight job re-joins the new bucket when its batch
+  /// returns. False if the job is neither.
+  bool rekey(std::uint64_t job_id, std::uint64_t key);
+
+  /// Keys whose jobs a dispatch lane may serve (multi-resource dispatch:
+  /// each lane passes the keys placed on — or placeable on — its resource).
+  using EligibleFn = std::function<bool(std::uint64_t key)>;
 
   /// Pops the next batch to dispatch, honouring class priority, aging and
   /// the small-batch policy. The job leaves the pending set until
@@ -116,9 +151,6 @@ class PriorityQueueCore {
   /// what lets several resource lanes drain one queue concurrently.
   std::optional<Batch> next_batch(common::TimeNs now,
                                   const EligibleFn& eligible);
-
-  /// True when at least one pending job satisfies `eligible`.
-  bool any_pending(const EligibleFn& eligible) const;
 
   /// The ordering keys of the job next_batch would serve right now — the
   /// per-shard half of the sharded dispatcher's tournament: peek every
@@ -133,16 +165,32 @@ class PriorityQueueCore {
     std::uint64_t remaining_shots = 0;
     std::uint64_t seq = 0;   // global FIFO tie-break
   };
-  /// One pass over the pending set, no sort: the minimum under head_before
-  /// among eligible entries (seqs are unique, so that is exactly the first
-  /// eligible entry of the full dispatch order).
+  /// The minimum under head_before among eligible entries — exactly the
+  /// first eligible entry of the full dispatch order — from one look at
+  /// each eligible bucket's head.
   std::optional<Head> peek_head(common::TimeNs now,
                                 const EligibleFn& eligible) const;
   /// The Head of one pending job at `now`; nullopt if not pending.
   std::optional<Head> head_of(std::uint64_t job_id, common::TimeNs now) const;
-  /// Visits, in no particular order, every pending entry that dispatches
-  /// before `pivot` (head_before(entry, pivot)) — the jobs ahead of a job
-  /// whose Head `pivot` is, possibly from another shard. One pass, no sort.
+
+  /// One bucket's share of the entries that dispatch before a pivot.
+  struct BucketAhead {
+    std::uint64_t key = 0;
+    JobClass cls = JobClass::kDevelopment;
+    bool has_hook = false;
+    double hook = 0.0;           // the bucket's (shared) hook value
+    std::size_t jobs = 0;        // entries before the pivot
+    std::uint64_t batches = 0;   // batches_needed summed over them
+  };
+  /// Visits, in no particular order, every bucket holding entries that
+  /// dispatch before `pivot` (head_before(entry, pivot)) — the jobs ahead
+  /// of a job whose Head `pivot` is, possibly from another shard. Whole
+  /// buckets are counted from their running totals; entries are walked
+  /// only in a bucket the pivot splits, and then from its shorter side.
+  void count_before(const Head& pivot, common::TimeNs now,
+                    const std::function<void(const BucketAhead&)>& visit)
+      const;
+  /// The same entries one by one, in no particular order.
   void for_each_before(const Head& pivot, common::TimeNs now,
                        const std::function<void(const Head&)>& visit) const;
   /// Every pending job's Head, in this core's dispatch order (global
@@ -176,29 +224,66 @@ class PriorityQueueCore {
 
   bool pending(std::uint64_t job_id) const;
   std::size_t depth() const { return entries_.size(); }
-  std::size_t depth_of(JobClass cls) const;
+  /// O(1): the core keeps a pending count per class.
+  std::size_t depth_of(JobClass cls) const {
+    return class_depth_[static_cast<std::size_t>(class_rank(cls))];
+  }
   /// Pending job ids in dispatch order (for the /v1/queue endpoint).
   std::vector<std::uint64_t> snapshot(common::TimeNs now) const;
 
  private:
   struct Entry {
     std::uint64_t job_id;
+    std::uint64_t key;
     JobClass cls;
     std::uint64_t remaining_shots;
     std::uint64_t total_shots;
     common::TimeNs enqueue_time;
-    std::uint64_t seq;  // stable FIFO order within a class
+    std::uint64_t seq;  // stable FIFO order within a bucket
+  };
+  struct Bucket {
+    std::uint64_t key = 0;
+    JobClass cls = JobClass::kDevelopment;
+    std::deque<const Entry*> fifo;  // ascending seq
+    std::uint64_t batches = 0;      // batches_needed over fifo
+    /// Adjacent pairs whose enqueue time decreases along fifo; 0 = the
+    /// bucket invariant holds.
+    std::size_t inversions = 0;
+    std::size_t slot = 0;  // index in live_
+  };
+  /// A pivot's cut through one bucket: the bucket's hook value and, when
+  /// the entries before the pivot are a prefix, its length.
+  struct Cut {
+    bool has_hook = false;
+    double hook = 0.0;
+    std::optional<std::size_t> prefix;  // nullopt: test every entry
   };
 
   int effective_rank(const Entry& entry, common::TimeNs now) const;
-  /// `entry`'s ordering keys at `now` (evaluates the hook).
-  Head head_of(const Entry& entry, int rank, common::TimeNs now) const;
+  Head head_of(const Entry& entry, common::TimeNs now, bool has_hook,
+               double hook) const;
+  /// True when `bucket`'s first entry is its head (the bucket invariant).
+  bool ordered(const Bucket& bucket) const;
+  /// The bucket's best entry at `now` (its first one when ordered).
+  const Entry& bucket_head(const Bucket& bucket, common::TimeNs now) const;
+  /// Calls visit(bucket, cut) for every bucket that may hold entries
+  /// before `pivot` — the one walk count_before and for_each_before share.
+  void walk_before(
+      const Head& pivot, common::TimeNs now,
+      const std::function<void(const Bucket&, const Cut&)>& visit) const;
+  void insert_pending(const Entry& entry);
+  void erase_pending(const Entry& entry);
 
   QueuePolicy policy_;
   PriorityHook priority_hook_;
   std::uint64_t next_seq_ = 0;
-  std::map<std::uint64_t, Entry> entries_;           // job_id -> entry
-  std::map<std::uint64_t, Entry> in_flight_;         // dispatched, awaiting done
+  std::unordered_map<std::uint64_t, Entry> entries_;    // pending, by job id
+  std::unordered_map<std::uint64_t, Entry> in_flight_;  // awaiting done
+  /// Non-empty buckets per class, by key (nodes never move), and the same
+  /// buckets as one flat list for head scans.
+  std::array<std::unordered_map<std::uint64_t, Bucket>, 3> buckets_;
+  std::vector<Bucket*> live_;
+  std::array<std::size_t, 3> class_depth_{};
 };
 
 }  // namespace qcenv::daemon

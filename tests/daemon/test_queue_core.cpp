@@ -398,6 +398,278 @@ std::vector<PropertyCase> property_cases() {
 INSTANTIATE_TEST_SUITE_P(SeededQueues, QueueCoreProperty,
                          ::testing::ValuesIn(property_cases()));
 
+// ---- shared buckets vs a reference full sort --------------------------------
+//
+// QueueCoreProperty gives every job its own key, so every bucket holds one
+// entry. Here 8-64 keys share hundreds of jobs, each key with its own lane
+// and hook value, while jobs arrive, finish, fail, are cancelled and change
+// key mid-run: the head must still be the first eligible entry of a full
+// sort, and the per-bucket aggregates before a pivot must add up to the
+// sorted prefix. kMonotone keeps enqueue times non-decreasing in seq (the
+// first-entry fast path); kShuffled draws them at random and
+// kShortestFirst adds shortest-first on top (both scan the bucket).
+
+enum class TimeMode { kMonotone, kShuffled, kShortestFirst };
+
+struct BucketCase {
+  std::uint64_t seed;
+  TimeMode mode;
+};
+
+class BucketedQueueProperty : public ::testing::TestWithParam<BucketCase> {};
+
+TEST_P(BucketedQueueProperty, BucketHeadsAndAggregatesMatchReferenceSort) {
+  const BucketCase param = GetParam();
+  common::Rng rng(param.seed);
+  QueuePolicy policy;
+  policy.class_priority = true;
+  policy.non_production_batch_shots = 25;
+  policy.age_to_boost = 10 * kSecond;
+  policy.shortest_first_within_class = param.mode == TimeMode::kShortestFirst;
+  const bool monotone = param.mode == TimeMode::kMonotone;
+
+  struct Key {
+    int lane = -1;  // -1 = unplaced: every lane may serve it
+    double hook = 0.0;
+  };
+  struct Job {
+    std::uint64_t key = 0;
+    JobClass cls = JobClass::kDevelopment;
+    std::uint64_t remaining = 0;
+    common::TimeNs enqueued = 0;
+    bool in_flight = false;
+  };
+  constexpr std::size_t kShards = 2;  // a key always lives in one shard
+  const auto key_count = static_cast<std::uint64_t>(rng.uniform_int(8, 64));
+  std::vector<Key> keys(key_count);
+  const auto draw_key = [&](Key& key) {
+    key.lane = static_cast<int>(rng.uniform_int(-1, 2));
+    // Few distinct values, so hook ties fall through to seq.
+    key.hook = 0.5 * static_cast<double>(rng.uniform_int(0, 3));
+  };
+  for (Key& key : keys) draw_key(key);
+
+  std::map<std::uint64_t, Job> jobs;
+  std::vector<std::unique_ptr<PriorityQueueCore>> cores;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    cores.push_back(std::make_unique<PriorityQueueCore>(policy));
+    cores.back()->set_priority_hook(
+        [&keys](std::uint64_t key, common::TimeNs) {
+          return keys.at(key).hook;
+        });
+  }
+  const auto core_of = [&](std::uint64_t key) -> PriorityQueueCore& {
+    return *cores[key % kShards];
+  };
+
+  common::TimeNs now = 20 * kSecond;
+  std::uint64_t next_id = 1;
+  const auto submit = [&](common::TimeNs at) {
+    Job job;
+    job.key = static_cast<std::uint64_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(key_count) - 1));
+    job.cls = static_cast<JobClass>(rng.uniform_int(0, 2));
+    job.remaining = static_cast<std::uint64_t>(25 * rng.uniform_int(1, 4));
+    job.enqueued = at;
+    const std::uint64_t id = next_id++;
+    jobs[id] = job;
+    core_of(job.key).enqueue(id, job.cls, job.remaining, at, id, job.key);
+  };
+  const auto initial = rng.uniform_int(100, 300);
+  common::TimeNs clock = 0;
+  for (std::int64_t i = 0; i < initial; ++i) {
+    if (monotone) {
+      clock += rng.uniform_int(0, 2) * kSecond / 10;
+      submit(clock);
+    } else {
+      submit(rng.uniform_int(0, 40) * kSecond / 2);
+    }
+  }
+
+  const auto rank_of = [&](const Job& job) {
+    const int boosts =
+        static_cast<int>((now - job.enqueued) / policy.age_to_boost);
+    return std::max(0, class_rank(job.cls) - boosts);
+  };
+  const auto reference = [&] {
+    std::vector<std::uint64_t> order;
+    for (const auto& [id, job] : jobs) {
+      if (!job.in_flight) order.push_back(id);
+    }
+    std::sort(order.begin(), order.end(),
+              [&](std::uint64_t a, std::uint64_t b) {
+                const Job& x = jobs.at(a);
+                const Job& y = jobs.at(b);
+                if (rank_of(x) != rank_of(y)) return rank_of(x) < rank_of(y);
+                const double hx = keys[x.key].hook;
+                const double hy = keys[y.key].hook;
+                if (hx != hy) return hx > hy;
+                if (policy.shortest_first_within_class &&
+                    x.remaining != y.remaining) {
+                  return x.remaining < y.remaining;
+                }
+                return a < b;
+              });
+    return order;
+  };
+
+  std::vector<Batch> in_flight;
+  const auto finish = [&](std::size_t index, bool failed) {
+    const Batch batch = in_flight[index];
+    in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(index));
+    Job& job = jobs.at(batch.job_id);
+    PriorityQueueCore& core = core_of(job.key);
+    job.in_flight = false;
+    if (failed) {
+      core.batch_failed(batch);
+      return;
+    }
+    core.batch_done(batch);
+    job.remaining -= batch.shots;
+    if (job.remaining == 0) jobs.erase(batch.job_id);
+  };
+
+  for (int step = 0; step < 150; ++step) {
+    now += step % 9 == 0 ? policy.age_to_boost - now % policy.age_to_boost
+                         : rng.uniform_int(0, 3) * kSecond / 2;
+    // Mid-run churn: arrivals, returning batches, cancels, re-placements
+    // and hook changes.
+    const double roll = rng.uniform();
+    if (roll < 0.2) {
+      submit(monotone ? now : rng.uniform_int(0, 80) * kSecond / 2);
+    } else if (roll < 0.4 && !in_flight.empty()) {
+      finish(static_cast<std::size_t>(rng.uniform_int(
+                 0, static_cast<std::int64_t>(in_flight.size()) - 1)),
+             rng.bernoulli(0.4));
+    } else if (roll < 0.55 && !jobs.empty()) {
+      // rekey a pending or in-flight job within its shard.
+      auto it = jobs.begin();
+      std::advance(it, rng.uniform_int(
+                           0, static_cast<std::int64_t>(jobs.size()) - 1));
+      const std::uint64_t shard = it->second.key % kShards;
+      std::uint64_t key = static_cast<std::uint64_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(key_count) - 1));
+      key = key - key % kShards + shard;
+      if (key >= key_count) key = shard;
+      ASSERT_TRUE(core_of(it->second.key).rekey(it->first, key));
+      it->second.key = key;
+    } else if (roll < 0.65 && !jobs.empty()) {
+      auto it = jobs.begin();
+      std::advance(it, rng.uniform_int(
+                           0, static_cast<std::int64_t>(jobs.size()) - 1));
+      const bool was_pending = !it->second.in_flight;
+      ASSERT_EQ(core_of(it->second.key).remove(it->first), was_pending);
+      if (was_pending) jobs.erase(it);
+    } else if (roll < 0.7) {
+      draw_key(keys[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(key_count) - 1))]);
+    }
+
+    const auto order = reference();
+    std::size_t depth = 0;
+    for (const auto& core : cores) depth += core->depth();
+    ASSERT_EQ(depth, order.size());
+    if (order.empty()) continue;
+
+    // Aggregates before a pivot, per key, equal the reference prefix.
+    const std::size_t pivot_at = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(order.size()) - 1));
+    const std::uint64_t pivot_id = order[pivot_at];
+    const auto pivot = core_of(jobs.at(pivot_id).key).head_of(pivot_id, now);
+    ASSERT_TRUE(pivot.has_value());
+    struct Ahead {
+      std::size_t jobs = 0;
+      std::uint64_t batches = 0;
+      double hook = -1.0;
+      bool operator==(const Ahead&) const = default;
+    };
+    std::map<std::uint64_t, Ahead> expected_ahead;
+    for (std::size_t i = 0; i < pivot_at; ++i) {
+      const Job& job = jobs.at(order[i]);
+      Ahead& ahead = expected_ahead[job.key];
+      ++ahead.jobs;
+      ahead.batches += batches_needed(policy, job.cls, job.remaining);
+      ahead.hook = std::max(ahead.hook, keys[job.key].hook);
+    }
+    std::map<std::uint64_t, Ahead> ahead_by_key;
+    std::size_t walked = 0;
+    for (const auto& core : cores) {
+      core->count_before(*pivot, now,
+                         [&](const PriorityQueueCore::BucketAhead& bucket) {
+                           ASSERT_TRUE(bucket.has_hook);
+                           Ahead& ahead = ahead_by_key[bucket.key];
+                           ahead.jobs += bucket.jobs;
+                           ahead.batches += bucket.batches;
+                           ahead.hook = std::max(ahead.hook, bucket.hook);
+                         });
+      core->for_each_before(*pivot, now,
+                            [&](const PriorityQueueCore::Head&) { ++walked; });
+    }
+    ASSERT_EQ(ahead_by_key, expected_ahead)
+        << "pivot job " << pivot_id << " step " << step;
+    ASSERT_EQ(walked, pivot_at);
+
+    // Tournament over the shards' bucket heads == first eligible entry.
+    const int lane = static_cast<int>(rng.uniform_int(0, 2));
+    const auto eligible = [&](std::uint64_t key) {
+      return keys.at(key).lane == lane || keys.at(key).lane < 0;
+    };
+    std::optional<std::uint64_t> expected;
+    for (const std::uint64_t id : order) {
+      if (eligible(jobs.at(id).key)) {
+        expected = id;
+        break;
+      }
+    }
+    std::optional<PriorityQueueCore::Head> best;
+    for (const auto& core : cores) {
+      const auto head = core->peek_head(now, eligible);
+      if (head.has_value() &&
+          (!best.has_value() ||
+           PriorityQueueCore::head_before(
+               *head, *best, policy.shortest_first_within_class))) {
+        best = head;
+      }
+    }
+    ASSERT_EQ(best.has_value(), expected.has_value());
+    if (!expected.has_value()) continue;
+    ASSERT_EQ(best->job_id, *expected) << "step " << step;
+
+    // Dispatch it; the batch returns at a later step.
+    const auto batch = core_of(jobs.at(*expected).key).take(*expected);
+    ASSERT_TRUE(batch.has_value());
+    jobs.at(*expected).in_flight = true;
+    in_flight.push_back(*batch);
+  }
+  for (const auto& core : cores) {
+    for (const JobClass cls :
+         {JobClass::kProduction, JobClass::kTest, JobClass::kDevelopment}) {
+      std::size_t expected = 0;
+      for (const auto& [_, job] : jobs) {
+        if (!job.in_flight && job.cls == cls &&
+            &core_of(job.key) == core.get()) {
+          ++expected;
+        }
+      }
+      EXPECT_EQ(core->depth_of(cls), expected);
+    }
+  }
+}
+
+std::vector<BucketCase> bucket_cases() {
+  std::vector<BucketCase> cases;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const TimeMode mode : {TimeMode::kMonotone, TimeMode::kShuffled,
+                                TimeMode::kShortestFirst}) {
+      cases.push_back({seed, mode});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(SeededQueues, BucketedQueueProperty,
+                         ::testing::ValuesIn(bucket_cases()));
+
 TEST(QueueCore, ClassNames) {
   EXPECT_STREQ(to_string(JobClass::kProduction), "production");
   EXPECT_STREQ(to_string(JobClass::kTest), "test");
